@@ -1,36 +1,31 @@
-//! **Parallel scaling benchmark** — the sharded two-level solve plus
-//! parallel PF evaluation across mirror sizes and worker counts, with
-//! hot-path columns for incremental KKT repair and the calendar-queue
-//! dispatcher.
+//! **Parallel scaling benchmark** — the Lagrange solve plus PF
+//! evaluation across mirror sizes and worker counts, with hot-path
+//! columns for incremental KKT repair and the calendar-queue dispatcher.
 //!
 //! For each mirror size N the serial baseline is the global Lagrange
 //! solve followed by a serial PF evaluation; its wall time also yields
 //! the single-thread solve throughput (elements/sec). Each (N, threads)
-//! cell then runs the two-level sharded solve (outer bisection on the
-//! shared multiplier, per-shard water-filling fanned out on the pool)
-//! plus the chunked parallel PF evaluation, reporting wall-clock speedup
-//! over the serial baseline and PF parity |pf − pf_serial| (the shard
-//! equivalence argument says parity should sit at solver tolerance,
-//! ≤ 1e-6).
+//! cell then runs the same solve on a thread pool (the allocation passes
+//! fanned out in fixed chunks) plus the chunked parallel PF evaluation,
+//! reporting wall-clock speedup over the serial baseline and PF parity
+//! |pf − pf_serial| (the pool is bit-identical, so parity is 0).
 //!
-//! Two extra rows per size exercise the solve→dispatch hot path:
+//! Three extra rows per size exercise the re-solve and dispatch paths:
 //!
-//! * `repair/…` — tilt ~1% of the change rates, then patch the previous
-//!   optimum by incremental KKT repair and certify it with the strict
-//!   [`SolutionAudit`]; the `speedup` column is full-warm-re-solve time
-//!   over repair time (the acceptance bound wants repair ≤ 10% of the
-//!   warm re-solve, i.e. a ratio ≥ 10 at the largest N).
+//! * `warm/…` — tilt ~1% of the change rates and re-solve, warm-started
+//!   from the previous multiplier: what the adaptive loop runs when it
+//!   does not repair.
+//! * `repair/…` — patch the previous optimum by incremental KKT repair
+//!   instead and certify it with the strict [`SolutionAudit`]; the
+//!   `speedup` column is warm re-solve time over repair time.
 //! * `dispatch/…` — run the allocation-free calendar-queue dispatcher
 //!   over the solved schedule for a few epochs and report events/sec
 //!   (single-thread; the dispatcher is serial by design).
 //!
-//! Grid: N ∈ {10⁴, 10⁵, 10⁶, 10⁷} × threads ∈ {1, 2, 4, 8}; pass
-//! `--smoke` for the CI-sized grid N ∈ {10⁴, 10⁵} × threads ∈ {1, 2, 4}.
-//! Telemetry lands in `results/BENCH_scale.json`, stamped with the
-//! available core count.
-//!
-//! Speedups only materialize with real cores — on a single-core box every
-//! cell degenerates to ~1×, which the header line calls out.
+//! Grid: N ∈ {10⁴, 10⁵, 10⁶, 10⁷} × threads ∈ {1, 2, 4, 8}, keeping the
+//! thread counts the machine has cores for; pass `--smoke` for the
+//! CI-sized grid N ∈ {10⁴, 10⁵}. Telemetry lands in
+//! `results/BENCH_scale.json`, stamped with the available core count.
 
 use freshen_bench::{header, row, timed, BenchReport, BenchRun};
 use freshen_core::exec::Executor;
@@ -39,11 +34,6 @@ use freshen_core::SolutionAudit;
 use freshen_engine::{EngineConfig, PollDispatcher, PollSource};
 use freshen_obs::Recorder;
 use freshen_solver::LagrangeSolver;
-
-/// Shard count for the two-level solve: enough shards to keep every
-/// worker fed at the largest thread count without shrinking the per-shard
-/// water-filling below chunking granularity.
-const SHARDS: usize = 32;
 
 /// Epochs driven through the dispatcher per size (first epoch warms the
 /// calendar queue's buckets; all epochs count toward throughput).
@@ -97,22 +87,19 @@ impl PollSource for StripedSource {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (sizes, thread_grid): (&[usize], &[usize]) = if smoke {
-        (&[10_000, 100_000], &[1, 2, 4])
+    let sizes: &[usize] = if smoke {
+        &[10_000, 100_000]
     } else {
-        (&[10_000, 100_000, 1_000_000, 10_000_000], &[1, 2, 4, 8])
+        &[10_000, 100_000, 1_000_000, 10_000_000]
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // A pool wider than the machine only measures contention.
+    let thread_grid: Vec<usize> = [1, 2, 4, 8]
+        .into_iter()
+        .filter(|&t| t == 1 || t <= cores)
+        .collect();
 
-    println!(
-        "# Sharded parallel solve+evaluate scaling ({} shards, {cores} cores available{})",
-        SHARDS,
-        if cores < *thread_grid.last().expect("non-empty grid") {
-            "; speedup is core-bound on this machine"
-        } else {
-            ""
-        }
-    );
+    println!("# Pool solve+evaluate scaling ({cores} cores available)");
     header(&[
         "run",
         "n",
@@ -125,7 +112,6 @@ fn main() {
 
     let mut bench = BenchReport::new("scale")
         .with_meta("smoke", smoke)
-        .with_meta("shards", SHARDS)
         .with_meta("cores", cores)
         .with_meta(
             "sizes",
@@ -171,31 +157,39 @@ fn main() {
         // Incremental repair vs. a full warm re-solve on ~1% local drift.
         // Both start from the same certified previous optimum; the repair
         // output must itself clear the strict KKT certificate.
+        let warm_recorder = Recorder::enabled();
+        let warm_solver = LagrangeSolver {
+            recorder: warm_recorder.clone(),
+            ..Default::default()
+        };
         let stride = (n / 100).max(2);
         let (after, touched) = drifted(&problem, stride);
         let mu = serial_solution.multiplier.expect("serial solve converged");
-        let inner_before = serial_recorder
-            .counter_value("solver.inner_iters")
-            .unwrap_or(0);
         let (full, full_wall) = timed(|| {
-            serial_solver
+            warm_solver
                 .solve_warm(&after, mu)
                 .expect("full warm re-solve")
         });
+        let label = format!("warm/n={n}");
+        let warm_pf = after.perceived_freshness(&full.frequencies);
+        row(&label, &[n as f64, 1.0, full_wall, 1.0, warm_pf, 0.0]);
+        let mut warm_run = BenchRun::from_recorder(&label, full_wall, &warm_recorder);
+        warm_run.pf = Some(warm_pf);
+        bench.push(warm_run);
         let (outcome, repair_wall) = timed(|| {
             serial_solver
                 .repair(&after, &serial_solution, &touched)
                 .expect("repair converges on local drift")
         });
         println!(
-            "# repair/n={n}: {} probes ({} inner) vs full warm {} outer iters ({:?} inner)",
+            "# repair/n={n}: {} probes ({} inner) in {repair_wall:.3}s vs full warm {} passes \
+             ({} Halley steps) in {full_wall:.3}s",
             outcome.probes,
             outcome.inner_iters,
             full.iterations,
-            serial_recorder
+            warm_recorder
                 .counter_value("solver.inner_iters")
-                .unwrap_or(0)
-                - inner_before,
+                .unwrap_or(0),
         );
         let repaired = outcome.solution;
         let certificate = SolutionAudit::default()
@@ -287,7 +281,7 @@ fn main() {
             tail_error: None,
         });
 
-        for &threads in thread_grid {
+        for &threads in &thread_grid {
             let recorder = Recorder::enabled();
             let executor = Executor::thread_pool(threads).with_recorder(recorder.clone());
             let solver = LagrangeSolver {
@@ -296,14 +290,12 @@ fn main() {
                 ..Default::default()
             };
             let (pf, wall) = timed(|| {
-                let solution = solver
-                    .solve_sharded(&problem, SHARDS)
-                    .expect("sharded solve");
+                let solution = solver.solve(&problem).expect("pool solve");
                 problem.perceived_freshness_exec(&solution.frequencies, &executor)
             });
             let speedup = serial_wall / wall.max(f64::MIN_POSITIVE);
             let parity = (pf - serial_pf).abs();
-            let label = format!("sharded/n={n}/threads={threads}");
+            let label = format!("pool/n={n}/threads={threads}");
             row(
                 &label,
                 &[n as f64, threads as f64, wall, speedup, pf, parity],

@@ -153,15 +153,12 @@ pub fn cmd_solve(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
         "trace-out",
         "topology",
         "split-budget",
-        "shards",
     ])?;
     if let Some(spec_path) = args.get("topology") {
         return cmd_solve_topology(args, spec_path, out);
     }
-    for flag in ["split-budget", "shards"] {
-        if args.get(flag).is_some() {
-            return Err(format!("--{flag} requires --topology"));
-        }
+    if args.get("split-budget").is_some() {
+        return Err("--split-budget requires --topology".into());
     }
     let (recorder, metrics, trace) = obs_recorder(args);
     let executor = exec_from_args(args, &recorder)?;
@@ -207,9 +204,9 @@ fn cmd_solve_topology(
     let solver = TieredSolver {
         base: LagrangeSolver {
             policy: parse_policy(args.get("policy"))?,
+            executor: exec_from_args(args, &Recorder::disabled())?,
             ..Default::default()
         },
-        shards: args.parsed_or("shards", 0usize)?,
         ..Default::default()
     };
     let solution = match args.get("split-budget") {
@@ -815,7 +812,7 @@ pub fn cmd_fleet(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
 pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     args.expect_only(&[
         "input", "schedule", "objects", "updates", "syncs", "theta", "std-dev", "seed", "policy",
-        "solver", "shards", "relaxed",
+        "solver", "threads", "relaxed",
     ])?;
     let policy = parse_policy(args.get("policy"))?;
 
@@ -866,16 +863,10 @@ pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
             None | Some("exact") => {
                 let solver = LagrangeSolver {
                     policy,
+                    executor: exec_from_args(args, &Recorder::disabled())?,
                     ..Default::default()
                 };
-                let shards: usize = args.parsed_or("shards", 0usize)?;
-                if shards > 1 {
-                    solver
-                        .solve_sharded(&problem, shards)
-                        .map_err(|e| e.to_string())?
-                } else {
-                    solver.solve(&problem).map_err(|e| e.to_string())?
-                }
+                solver.solve(&problem).map_err(|e| e.to_string())?
             }
             Some("pg") => {
                 if policy != SyncPolicy::FixedOrder {
@@ -1413,8 +1404,8 @@ mod tests {
     }
 
     #[test]
-    fn audit_covers_sharded_and_pg_solvers() {
-        for extra in [&["--shards", "4"][..], &["--solver", "pg"][..]] {
+    fn audit_covers_pooled_and_pg_solvers() {
+        for extra in [&["--threads", "4"][..], &["--solver", "pg"][..]] {
             let mut args = vec![
                 "--objects",
                 "40",
@@ -1591,7 +1582,7 @@ mod tests {
         let err = cmd_solve(&parsed(&["--split-budget", "5"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("--split-budget requires --topology"), "{err}");
         let err = cmd_solve(&parsed(&["--shards", "4"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--shards requires --topology"), "{err}");
+        assert!(err.contains("unknown option `--shards`"), "{err}");
     }
 
     #[test]

@@ -78,7 +78,7 @@ USAGE:
   freshen solve     --input problem.json [--policy fixed|poisson] [--threads T]
                     [--metrics-out metrics.json] [--trace-out trace.json]
   freshen solve     --topology spec.json [--input problem.json] [--split-budget B]
-                    [--policy fixed|poisson] [--shards S]
+                    [--policy fixed|poisson] [--threads T]
   freshen heuristic --input problem.json --partitions K [--kmeans N]
                     [--criterion pf|p|lambda|p-over-lambda|pf-size|size]
                     [--allocation fba|ffa] [--threads T]
@@ -112,7 +112,7 @@ USAGE:
                     [--trace-out trace.json]
   freshen audit     (--input problem.json [--schedule schedule.json]
                      | --objects N --updates U --syncs B [--theta T] [--std-dev S] [--seed S])
-                    [--policy fixed|poisson] [--solver exact|pg] [--shards K] [--relaxed 1]
+                    [--policy fixed|poisson] [--solver exact|pg] [--threads T] [--relaxed 1]
   freshen help
 
 Parallelism: --threads T runs the solver / pipeline / scoring passes on a

@@ -19,7 +19,7 @@
 //! every breach becomes an [`AuditViolation`] with the element, the
 //! measured value, and the limit it broke. Because the certificate is a
 //! property of the *output*, the same checker audits the exact Lagrange
-//! solver, the two-level sharded solve, the generic projected-gradient
+//! solver (serial or pooled), the generic projected-gradient
 //! NLP, and any heuristic's expanded allocation — no access to solver
 //! internals required.
 //!

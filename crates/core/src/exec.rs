@@ -37,6 +37,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use freshen_obs::Recorder;
 
@@ -236,15 +237,42 @@ impl Executor {
         parts.into_iter().reduce(fold)
     }
 
-    /// Map over caller-supplied index ranges (for example the shards of a
-    /// [`crate::shard::ShardedProblem`]), returning results in range
-    /// order.
+    /// Map over caller-supplied index ranges (for example a solver's
+    /// fixed chunks), returning results in range order.
     pub fn map_ranges<R, M>(&self, ranges: &[Range<usize>], map: M) -> Vec<R>
     where
         R: Send,
         M: Fn(Range<usize>) -> R + Sync,
     {
         self.run_tasks(ranges.len(), |c| map(ranges[c].clone()))
+    }
+
+    /// [`map_ranges`](Self::map_ranges) that also hands each task the
+    /// matching sub-slice of `out` (`&mut out[range]`), so a pass can
+    /// write its per-element results in place instead of returning them
+    /// for a serial copy. Ranges must be ascending, disjoint and within
+    /// `out`.
+    ///
+    /// # Panics
+    /// Panics when the ranges overlap, descend or run past `out`.
+    pub fn map_ranges_mut<T, R, M>(&self, ranges: &[Range<usize>], out: &mut [T], map: M) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        M: Fn(Range<usize>, &mut [T]) -> R + Sync,
+    {
+        let mut slots = Vec::with_capacity(ranges.len());
+        let (mut rest, mut offset) = (out, 0usize);
+        for range in ranges {
+            let (_, tail) = rest.split_at_mut(range.start - offset);
+            let (mine, tail) = tail.split_at_mut(range.len());
+            slots.push(Mutex::new(mine));
+            (rest, offset) = (tail, range.end);
+        }
+        self.run_tasks(ranges.len(), |c| {
+            let mut slot = slots[c].lock().expect("each slot is locked by one task");
+            map(ranges[c].clone(), &mut slot)
+        })
     }
 
     /// Run two closures, overlapping them on a pool (`a` on a worker
@@ -288,6 +316,25 @@ pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
 mod tests {
     use super::*;
     use crate::numeric::NeumaierSum;
+
+    #[test]
+    fn map_ranges_mut_writes_in_place_identically_on_pool() {
+        let ranges = chunk_ranges(10_000, 999);
+        let run = |exec: Executor| {
+            let mut out = vec![0usize; 10_000];
+            let sums = exec.map_ranges_mut(&ranges, &mut out, |range, out| {
+                for (k, o) in range.clone().zip(out.iter_mut()) {
+                    *o = k * 3;
+                }
+                range.sum::<usize>()
+            });
+            (out, sums)
+        };
+        let serial = run(Executor::serial());
+        assert_eq!(serial, run(Executor::thread_pool(4)));
+        assert_eq!(serial.0[1234], 3702);
+        assert_eq!(serial.1.iter().sum::<usize>(), (0..10_000).sum::<usize>());
+    }
 
     #[test]
     fn par_map_preserves_order_on_pool() {

@@ -77,13 +77,66 @@ pub fn freshness_of_ratio(r: f64) -> f64 {
     }
 }
 
+/// Below this `x`, [`phi`] sums its Taylor series: the closed form
+/// `1 − (1 + x)·e^{−x}` cancels there, to a relative error of `~ε/x²`.
+pub const PHI_SERIES_BELOW: f64 = 0.25;
+
+/// `φ(x) = 1 − (1 + x)·e^{−x}`, the Fixed-Order marginal value in units
+/// of `1/λ`: with `r = λ/f`, `∂F̄/∂f = φ(r)/λ` (the paper's Appendix,
+/// Eq. 5–6). `φ` rises from 0 at `x = 0` (as `x²/2`) to 1 as `x → ∞`,
+/// and `φ′(x) = x·e^{−x}`, `φ″(x) = (1 − x)·e^{−x}`.
+///
+/// Accurate to a few ulp everywhere: the series below
+/// [`PHI_SERIES_BELOW`], the closed form above it.
+///
+/// ```
+/// use freshen_core::freshness::phi;
+/// assert!((phi(1.0) - (1.0 - 2.0 * (-1.0f64).exp())).abs() < 1e-16);
+/// // φ(x) ≈ x²/2 near zero, computed without cancellation.
+/// assert!((phi(1e-6) / 5e-13 - 1.0).abs() < 1e-6);
+/// ```
+#[inline]
+pub fn phi(x: f64) -> f64 {
+    if x < PHI_SERIES_BELOW {
+        phi_series(x)
+    } else {
+        1.0 - (1.0 + x) * (-x).exp()
+    }
+}
+
+/// The Taylor series `φ(x) = Σ_{k≥2} (−1)ᵏ (k − 1)·xᵏ/k!`, summed to
+/// `k = 12`: a few ulp below [`PHI_SERIES_BELOW`], no cancellation.
+#[inline]
+pub fn phi_series(x: f64) -> f64 {
+    const C: [f64; 11] = [
+        1.0 / 2.0,
+        -1.0 / 3.0,
+        1.0 / 8.0,
+        -1.0 / 30.0,
+        1.0 / 144.0,
+        -1.0 / 840.0,
+        1.0 / 5760.0,
+        -1.0 / 45360.0,
+        1.0 / 403200.0,
+        -1.0 / 3991680.0,
+        1.0 / 43545600.0,
+    ];
+    let mut acc = 0.0;
+    for &c in C.iter().rev() {
+        acc = acc * x + c;
+    }
+    acc * x * x
+}
+
 /// Marginal freshness per unit of extra sync frequency:
-/// `g(f; λ) = ∂F̄/∂f = (1/λ)(1 − e^{−λ/f}) − (1/f)·e^{−λ/f}`.
+/// `g(f; λ) = ∂F̄/∂f = (1/λ)(1 − e^{−λ/f}) − (1/f)·e^{−λ/f} = φ(λ/f)/λ`.
 ///
 /// `g` is strictly decreasing in `f` (because `F̄` is strictly concave in
 /// `f`), falling from `1/λ` as `f → 0⁺` toward `0` as `f → ∞`. The exact
 /// Lagrange solver in `freshen-solver` equalizes `pᵢ·g(fᵢ; λᵢ)` across all
-/// elements receiving bandwidth (the paper's Appendix, Eq. 5).
+/// elements receiving bandwidth (the paper's Appendix, Eq. 5). Computed
+/// through [`phi`], so the solver's kernel, the KKT audit and repair's
+/// warm Newton all read the same marginal value.
 ///
 /// ```
 /// use freshen_core::freshness::freshness_gradient;
@@ -108,14 +161,7 @@ pub fn freshness_gradient(lambda: f64, f: f64) -> f64 {
         // e^{-r} underflows; the limit is exactly 1/λ.
         return 1.0 / lambda;
     }
-    if r < SMALL_R {
-        // Expand in r: g = (1/λ)·(1−e^{−r}) − (r/λ)·e^{−r}
-        //            = (1/λ)·[ (r − r²/2 + r³/6) − r(1 − r + r²/2) ] + O(r⁴)
-        //            = (1/λ)·[ r²/2 − r³/3 ] + O(r⁴)
-        return (r * r / 2.0 - r * r * r / 3.0) / lambda;
-    }
-    let e = (-r).exp();
-    (1.0 - e) / lambda - e / f
+    phi(r) / lambda
 }
 
 /// Perceived freshness of an allocation: `PF = Σᵢ wᵢ · F̄(λᵢ, fᵢ)`.
@@ -363,6 +409,80 @@ mod tests {
                 "f={f}: numeric {num} vs analytic {ana}"
             );
         }
+    }
+
+    #[test]
+    fn gradient_matches_high_precision_reference() {
+        // (λ, f, g(f; λ)) with g from 50-digit arithmetic on the exact
+        // binary inputs, over r = λ/f ∈ [1e-8, 700]: the series side, the
+        // series/closed-form seam at r = 0.25 and the saturated tail.
+        const REFERENCE: [(f64, f64, f64); 50] = [
+            (1.0, 100000000.0, 4.999999966666667e-17),
+            (1.0, 10000000.0, 4.999999666666679e-15),
+            (1.0, 1000000.0, 4.999996666667917e-13),
+            (1.0, 199999.99999999997, 1.2499958333411462e-11),
+            (1.0, 99999.99999999999, 4.9999666667916676e-11),
+            (1.0, 99009.900990099, 5.100465656763409e-11),
+            (1.0, 49999.99999999999, 1.9999733335333329e-10),
+            (1.0, 33333.333333333336, 4.499910001012491e-10),
+            (1.0, 20000.0, 1.2499583341145729e-09),
+            (1.0, 10000.0, 4.9996666791663335e-09),
+            (1.0, 1000.0, 4.996667916333403e-07),
+            (1.0, 100.0, 4.966791334026589e-05),
+            (1.0, 10.0, 0.004678840160444469),
+            (1.0, 4.001600640256102, 0.02647955406189723),
+            (1.0, 4.0, 0.026499021160743916),
+            (1.0, 3.3333333333333335, 0.03693631311376677),
+            (1.0, 2.0, 0.09020401043104986),
+            (1.0, 1.0, 0.26424111765711533),
+            (1.0, 0.5, 0.5939941502901619),
+            (1.0, 0.2, 0.9595723180054871),
+            (1.0, 0.1, 0.9995006007726127),
+            (1.0, 0.025, 0.9999999999999998),
+            (1.0, 0.01, 1.0),
+            (1.0, 0.0033333333333333335, 1.0),
+            (1.0, 0.0014285714285714286, 1.0),
+            (2.5, 250000000.0, 1.9999999866666667e-17),
+            (2.5, 25000000.0, 1.9999998666666716e-15),
+            (2.5, 2500000.0, 1.9999986666671668e-13),
+            (2.5, 499999.99999999994, 4.999983333364584e-12),
+            (2.5, 249999.99999999997, 1.999986666716667e-11),
+            (2.5, 247524.75247524751, 2.0401862627053635e-11),
+            (2.5, 124999.99999999999, 7.999893334133331e-11),
+            (2.5, 83333.33333333333, 1.799964000404997e-10),
+            (2.5, 50000.0, 4.999833336458292e-10),
+            (2.5, 25000.0, 1.9998666716665335e-09),
+            (2.5, 2500.0, 1.998667166533361e-07),
+            (2.5, 250.0, 1.9867165336106356e-05),
+            (2.5, 25.0, 0.001871536064177788),
+            (2.5, 10.004001600640256, 0.01059182162475889),
+            (2.5, 10.0, 0.010599608464297566),
+            (2.5, 8.333333333333334, 0.014774525245506707),
+            (2.5, 5.0, 0.03608160417241994),
+            (2.5, 2.5, 0.10569644706284614),
+            (2.5, 1.25, 0.23759766011606476),
+            (2.5, 0.5, 0.38382892720219486),
+            (2.5, 0.25, 0.39980024030904504),
+            (2.5, 0.0625, 0.3999999999999999),
+            (2.5, 0.025, 0.4),
+            (2.5, 0.008333333333333333, 0.4),
+            (2.5, 0.0035714285714285713, 0.4),
+        ];
+        for (lam, f, want) in REFERENCE {
+            let got = freshness_gradient(lam, f);
+            let rel = (got - want).abs() / want;
+            assert!(
+                rel <= 1e-13,
+                "λ={lam} f={f}: {got:e} vs {want:e} (rel {rel:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn phi_series_and_closed_form_agree_at_the_seam() {
+        let x = PHI_SERIES_BELOW;
+        let closed = 1.0 - (1.0 + x) * (-x).exp();
+        assert!((phi_series(x) - closed).abs() <= closed * 1e-14);
     }
 
     #[test]

@@ -36,8 +36,6 @@
 //!   a machine-readable [`AuditReport`] for any solver's output;
 //! * [`exec`] — the deterministic [`Executor`] abstraction (serial or
 //!   scoped std thread pool) behind every parallel hot loop;
-//! * [`shard`] — [`ShardedProblem`], the contiguous-after-sort partition
-//!   view the two-level parallel solve is built on;
 //! * [`soa`] — structure-of-arrays column views ([`ProblemColumns`],
 //!   [`PackedColumns`]): gather the hot columns once, then run every
 //!   solver probe over contiguous memory instead of per-probe index
@@ -91,7 +89,6 @@ pub mod profile;
 pub mod rng;
 pub mod schedule;
 pub mod selection;
-pub mod shard;
 pub mod soa;
 pub mod topology;
 
@@ -100,6 +97,5 @@ pub use error::{CoreError, Result};
 pub use exec::Executor;
 pub use policy::SyncPolicy;
 pub use problem::{Element, Problem, Solution};
-pub use shard::ShardedProblem;
 pub use soa::{ColumnsRef, PackedColumns, ProblemColumns};
 pub use topology::{TieredSchedule, Topology, TopologyBuilder};

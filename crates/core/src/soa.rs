@@ -2,9 +2,9 @@
 //!
 //! [`Problem`] already stores its data column-wise, but every hot loop in
 //! the workspace used to walk it through an index indirection
-//! (`active[j]` gathers inside each bisection probe) or through the
+//! (`active[j]` gathers inside each solver pass) or through the
 //! [`Element`](crate::problem::Element) AoS view. At `N = 10⁷` those
-//! gathers dominate: each outer-bisection probe touches three `f64`
+//! gathers dominate: each solver pass touches three `f64`
 //! columns through a permutation, so the prefetcher sees random access.
 //!
 //! This module packages the two layouts the hot paths actually want:
@@ -16,9 +16,7 @@
 //!   permutation) of the columns plus a frequency column `f` and the
 //!   stable id permutation that maps packed positions back to original
 //!   element indices. The Lagrange solver gathers its active set once
-//!   and then runs every water-filling probe over contiguous memory;
-//!   [`ShardedProblem`](crate::shard::ShardedProblem) packs the sorted
-//!   order so shard slices are true sub-slices.
+//!   and then runs every water-filling pass over contiguous memory.
 //!
 //! Packing performs the gather exactly once; all later passes are linear
 //! sweeps. Iteration order over a packed set equals the order of the ids
@@ -193,6 +191,17 @@ impl PackedColumns {
     #[inline]
     pub fn f_mut(&mut self) -> &mut [f64] {
         &mut self.f
+    }
+
+    /// Exchange the frequency column with `other`, an equally long
+    /// buffer: O(1), so a caller can park one pass's allocation and let
+    /// the next pass overwrite the old buffer.
+    ///
+    /// # Panics
+    /// Panics when the lengths differ.
+    pub fn swap_f(&mut self, other: &mut Vec<f64>) {
+        assert_eq!(other.len(), self.f.len(), "swapped frequency column length");
+        std::mem::swap(&mut self.f, other);
     }
 
     /// Borrow a contiguous sub-slice of the packed columns (without the

@@ -11,8 +11,8 @@
 //!   recommends a re-solve when the drift crosses a threshold;
 //! * [`AdaptiveScheduler`] owns the active schedule and re-solves on
 //!   demand — warm-starting the exact solver from the previous Lagrange
-//!   multiplier ([`LagrangeSolver::solve_warm`]), which roughly halves the
-//!   outer iterations for small drifts.
+//!   multiplier ([`LagrangeSolver::solve_warm`]), which skips most of the
+//!   water-level search's passes for small drifts.
 
 use freshen_core::audit::SolutionAudit;
 use freshen_core::error::{CoreError, Result};
@@ -281,8 +281,8 @@ impl AdaptiveScheduler {
     /// Enable incremental KKT repair (builder form): when a re-solve
     /// fires and the drift monitor attributes the drift to at most
     /// `fraction` of the elements, patch the previous optimum with
-    /// [`LagrangeSolver::repair`] instead of running the full outer
-    /// bisection, then certify the patched solution with the strict
+    /// [`LagrangeSolver::repair`] instead of running the full warm
+    /// re-solve, then certify the patched solution with the strict
     /// [`SolutionAudit`] ("repair then certify"). A failed repair or a
     /// failed certificate falls back to the full warm re-solve and is
     /// counted in [`repair_fallbacks`](Self::repair_fallbacks).

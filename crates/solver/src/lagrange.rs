@@ -10,55 +10,70 @@
 //! ```
 //!
 //! (`sᵢ = 1` in the core problem; the extended problem's constraint
-//! `Σ sᵢfᵢ = B` contributes the `sᵢ` factor on the right.) Because `F̄` is
-//! strictly concave in `f`, the marginal value `g(f) = ∂F̄/∂f` is strictly
-//! decreasing, so for a fixed `μ` each `fᵢ(μ)` is the unique root of a
-//! monotone scalar equation, and `Σ sᵢ·fᵢ(μ)` is itself monotone
-//! decreasing in `μ`. The solver therefore:
+//! `Σ sᵢfᵢ = B` contributes the `sᵢ` factor on the right.) Under Fixed
+//! Order, `∂F̄/∂f = φ(λ/f)/λ` with `φ(x) = 1 − (1 + x)e^{−x}`
+//! ([`phi`](freshen_core::freshness::phi)), so with `x = λ/f` and
+//! `y = λ·μs/p` stationarity is `φ(x) = y`: every funded element sits on
+//! one locus `x = ψ(y)`, `ψ = φ⁻¹ = −1 − W₋₁(−(1 − y)/e)` (paper Eq. 6,
+//! Figure 1). `Σ sᵢ·fᵢ(μ)` falls monotonically in `μ`. The solver
+//! therefore:
 //!
-//! 1. brackets `μ` between 0 and `max pᵢ/(λᵢsᵢ)` (above which no element
-//!    receives bandwidth),
-//! 2. bisects `μ` until the consumed bandwidth equals `B`,
-//! 3. solves each inner equation with safeguarded Newton (bisection
-//!    fallback) using the closed-form second derivative.
+//! 1. evaluates `ψ` at a fixed cost per element — a two-branch start
+//!    (series in `√(2y)`, `W₋₁` asymptotic in `−ln(1 − y)`) and a fixed
+//!    number of Halley steps, one `exp` each, with no loop exit that
+//!    depends on the data (Poisson is closed form);
+//! 2. reads each element's elasticity `−d ln f/d ln μ` off the same
+//!    evaluation, so every allocation pass also yields the slope of the
+//!    spend in `ln μ`;
+//! 3. finds the water level with one safeguarded Newton root-finder on
+//!    `ln μ` (Illinois false position once the budget is bracketed and
+//!    Newton leaves the bracket or stalls), starting from a closed-form
+//!    estimate or a warm-start hint.
 //!
-//! This replaces the authors' generic IMSL non-linear-programming package
-//! with a specialized `O(N·log(1/ε))` scheme that produces the *same*
-//! optimum (it solves the same KKT system) — validated against the
-//! paper's published Table 1 numbers.
+//! A solve costs `O(N·k)` for the `k ≈ 5–15` passes the root-finder
+//! takes. This replaces the authors' generic IMSL non-linear-programming
+//! package with a specialized scheme that produces the *same* optimum (it
+//! solves the same KKT system) — validated against the paper's published
+//! Table 1 numbers.
 //!
-//! # Parallel evaluation and the two-level sharded solve
+//! # Parallel evaluation
 //!
-//! Each outer bisection probe evaluates `N` independent scalar root
-//! solves, so the inner loop parallelizes embarrassingly: the active set
-//! is split into fixed chunks and each chunk's water-filling runs on the
-//! solver's [`Executor`], with per-chunk bandwidth partials merged in
-//! chunk order (compensated) so results match the serial path exactly.
-//!
-//! [`solve_sharded`](LagrangeSolver::solve_sharded) is the two-level
-//! mode: a [`ShardedProblem`] partitions the elements into `K` shards and
-//! the outer bisection drives *per-shard* inner water-filling solved in
-//! parallel, one shard per chunk. This is provably equivalent to the
-//! global solve: the constraint `Σ sᵢfᵢ = B` is the only coupling between
-//! elements, so at the optimum every shard's KKT stationarity condition
-//! references the *same* multiplier `μ*` — the implicit per-shard budgets
-//! `B_j(μ)` are whatever each shard consumes at that shared water level,
-//! and they automatically sum to `B` when the outer bisection converges.
+//! Each pass evaluates `N` independent closed-form roots, so it
+//! parallelizes embarrassingly: the active set is split into fixed
+//! chunks and each chunk's water-filling runs on the solver's
+//! [`Executor`], with per-chunk bandwidth partials merged in chunk order
+//! (compensated) so results match the serial path exactly. The water
+//! level is the only coupling between elements, so this one
+//! decomposition is all the parallelism the solve needs.
 
 use std::ops::Range;
 
 use freshen_core::error::{CoreError, Result};
 use freshen_core::exec::{chunk_ranges, Executor, DEFAULT_CHUNK};
+use freshen_core::freshness::{phi_series, PHI_SERIES_BELOW};
 use freshen_core::numeric::NeumaierSum;
 use freshen_core::policy::SyncPolicy;
 use freshen_core::problem::{Problem, Solution};
-use freshen_core::shard::ShardedProblem;
 use freshen_core::soa::PackedColumns;
 use freshen_obs::Recorder;
 
 /// Change rates below this are treated as "static": the element is always
 /// fresh and never worth bandwidth.
 pub(crate) const STATIC_RATE: f64 = 1e-12;
+
+/// Halley steps the Fixed-Order kernel takes from its two-branch start
+/// (within 6% of the root everywhere). Halley converges cubically, so two
+/// steps reach ~3e-14 relative error and every element costs the same.
+const HALLEY_STEPS: usize = 2;
+
+/// Cap on one element's elasticity `−d ln f/d ln μ` in a pass's spend
+/// slope. Elements hovering near the starvation threshold have a
+/// double-exponentially flat marginal, so their pointwise elasticity can
+/// reach 10¹⁰× their actual bounded response (`f` can only fall to 0) —
+/// one such element poisons the aggregate slope and freezes Newton into
+/// micro-steps. Ordinary elements have elasticity O(1) (½ on the
+/// `f ≫ λ` side of the locus) and are untouched.
+pub(crate) const MAX_ELASTICITY: f64 = 1e3;
 
 /// Write into `f` the convex combination of the allocations measured at
 /// the two ends of an exhausted multiplier bracket, `(allocation, spend)`
@@ -84,9 +99,11 @@ pub(crate) fn blend_bracket_ends(
 pub struct LagrangeSolver {
     /// Relative tolerance on the bandwidth constraint.
     pub budget_tol: f64,
-    /// Maximum outer bisection iterations on the multiplier.
+    /// Maximum allocation passes of the water-level search.
     pub max_outer: usize,
-    /// Maximum inner Newton/bisection iterations per element.
+    /// Maximum Newton iterations per element in [`repair`](Self::repair)'s
+    /// warm per-element solves. The full solve's kernel takes a fixed
+    /// number of Halley steps and ignores it.
     pub max_inner: usize,
     /// Synchronization policy whose freshness law is optimized (the paper
     /// uses Fixed Order; Poisson is provided for the policy ablation).
@@ -136,11 +153,11 @@ impl LagrangeSolver {
     ///
     /// The paper's §3 motivation is *periodic* re-solving as profiles and
     /// change rates drift; successive optima have nearby multipliers, so
-    /// bracketing around the old `μ*` instead of the full
-    /// `(0, max pᵢ/(λᵢsᵢ))` range cuts the outer iterations roughly in
-    /// half. Invalid hints (non-positive, non-finite, or beyond the
-    /// starvation bound) are ignored and the cold path runs; the returned
-    /// solution is always the same optimum either way.
+    /// starting the Newton search at the old `μ*` instead of the cold
+    /// estimate skips most of its approach (a hint at the exact `μ*`
+    /// converges in one pass). Invalid hints (non-positive, non-finite,
+    /// or beyond the starvation bound) are ignored and the cold path
+    /// runs; the returned solution is always the same optimum either way.
     pub fn solve_warm(&self, problem: &Problem, multiplier_hint: f64) -> Result<Solution> {
         self.solve_impl(problem, Some(multiplier_hint))
     }
@@ -291,55 +308,10 @@ impl LagrangeSolver {
         }
     }
 
-    /// Two-level sharded solve: partition the problem into `shards`
-    /// contiguous-after-sort shards ([`ShardedProblem`]) and run the outer
-    /// bisection with per-shard inner water-filling evaluated in parallel
-    /// (one shard per executor task).
-    ///
-    /// Equivalent to [`solve`](Self::solve) up to float accumulation
-    /// order: the bandwidth constraint is the only coupling between
-    /// elements, so every shard's stationarity condition references the
-    /// same multiplier `μ*` and the implicit per-shard budgets sum to `B`
-    /// automatically at convergence. The shard partition therefore acts
-    /// purely as a load-balanced work decomposition.
-    pub fn solve_sharded(&self, problem: &Problem, shards: usize) -> Result<Solution> {
-        let sharded = ShardedProblem::new(problem, shards);
-        let p = problem.access_probs();
-        let lam = problem.change_rates();
-        // Concatenate the shards' active elements; each shard becomes one
-        // chunk of the allocation pass, so shard boundaries — not worker
-        // count — determine accumulation order.
-        let mut active = Vec::with_capacity(problem.len());
-        let mut chunks = Vec::with_capacity(sharded.num_shards());
-        for shard in sharded.shards() {
-            let start = active.len();
-            active.extend(
-                shard
-                    .iter()
-                    .copied()
-                    .filter(|&i| p[i] > 0.0 && lam[i] > STATIC_RATE),
-            );
-            if active.len() > start {
-                chunks.push(start..active.len());
-            }
-        }
-        self.recorder.counter("solver.sharded_solves").inc();
-        let mut cols = PackedColumns::gather(problem, &active);
-        self.solve_over(problem, None, &mut cols, &chunks)
-    }
-
-    fn solve_impl(&self, problem: &Problem, hint: Option<f64>) -> Result<Solution> {
-        let mut cols = self.pack_active(problem);
-        // Fixed chunk boundaries (a function of the active count only)
-        // keep the allocation pass bit-identical across worker counts.
-        let chunks = chunk_ranges(cols.len(), DEFAULT_CHUNK);
-        self.solve_over(problem, hint, &mut cols, &chunks)
-    }
-
     /// Gather the active set — positive interest and a genuinely changing
     /// source copy — into contiguous structure-of-arrays columns. Every
-    /// outer-bisection probe then sweeps linear memory; the gather happens
-    /// exactly once per solve instead of once per probe.
+    /// pass of the water-level search then sweeps linear memory; the
+    /// gather happens exactly once per solve instead of once per pass.
     pub(crate) fn pack_active(&self, problem: &Problem) -> PackedColumns {
         let p = problem.access_probs();
         let lam = problem.change_rates();
@@ -349,19 +321,15 @@ impl LagrangeSolver {
         PackedColumns::gather(problem, &active)
     }
 
-    /// The shared outer bisection, parameterized over the packed active
-    /// columns and the chunk decomposition used for every allocation pass
-    /// (fixed-size chunks for the global solve, shard extents for
-    /// [`solve_sharded`](Self::solve_sharded)). Chunk ranges index the
-    /// *packed* order; the final schedule is scattered back through the
-    /// pack permutation once, after convergence.
-    fn solve_over(
-        &self,
-        problem: &Problem,
-        hint: Option<f64>,
-        cols: &mut PackedColumns,
-        chunks: &[Range<usize>],
-    ) -> Result<Solution> {
+    /// The water-level solve behind [`solve`](Self::solve) and
+    /// [`solve_warm`](Self::solve_warm). Passes run over the packed active
+    /// columns in fixed chunks (a function of the active count only, so
+    /// the pass is bit-identical across worker counts); the final
+    /// schedule is scattered back through the pack permutation once,
+    /// after convergence.
+    fn solve_impl(&self, problem: &Problem, hint: Option<f64>) -> Result<Solution> {
+        let mut cols = self.pack_active(problem);
+        let chunks = chunk_ranges(cols.len(), DEFAULT_CHUNK);
         let n = problem.len();
         let m = cols.len();
         let budget = problem.bandwidth();
@@ -422,28 +390,39 @@ impl LagrangeSolver {
             return Ok(sol);
         }
 
+        let mut fill = PackedFill {
+            solver: self,
+            chunks: &chunks,
+            cols: &mut cols,
+            // The μ = μ_hi_limit allocation: all zero, spending nothing.
+            hi: vec![0.0; m],
+            lo: vec![0.0; m],
+        };
+
         // With a levy active the budget constraint may not bind: the μ = 0
         // allocation (each element polled until its marginal freshness
         // equals its price) can already fit inside `B`. Probe it first —
         // if it fits, it is the interior optimum and no water level is
         // needed. Zero-cost elements make the μ = 0 allocation unbounded,
         // so the probe only runs when every active element is taxed.
-        if gamma > 0.0 && cols.c().iter().all(|&c| c > 0.0) {
-            let (used0, inner0) = self.allocate(chunks, cols, 0.0);
+        let mut probed = 0usize;
+        if gamma > 0.0 && fill.cols.c().iter().all(|&c| c > 0.0) {
+            let interior = fill.fill(0.0);
+            probed = 1;
+            c_outer.add(1);
+            c_inner.add(interior.steps as u64);
             rec.event(
                 "solver.outer",
                 &[
                     ("phase", &"interior"),
                     ("iter", &1usize),
                     ("mu", &0.0),
-                    ("residual", &((used0 - budget) / budget)),
+                    ("residual", &((interior.used - budget) / budget)),
                 ],
             );
-            if used0 <= budget {
-                c_outer.add(1);
-                c_inner.add(inner0 as u64);
+            if interior.used <= budget {
                 let mut freqs = vec![0.0; n];
-                cols.scatter_f(&mut freqs);
+                fill.cols.scatter_f(&mut freqs);
                 let mut sol = Solution::evaluate_with_policy(problem, freqs, self.policy);
                 sol.multiplier = Some(0.0);
                 sol.cost_multiplier = Some(gamma);
@@ -451,178 +430,250 @@ impl LagrangeSolver {
                 return Ok(sol);
             }
         }
-        let mut mu_hi = mu_hi_limit;
-        let mut freqs_hi = vec![0.0; m]; // all-zero: the μ = μ_hi allocation
-        let mut used_hi = 0.0;
-        let mut outer_iters = 0usize;
-        let mut inner_total = 0usize;
 
-        // Starting point for the low (over-budget) side: the warm-start
-        // hint when valid, the cold default otherwise.
-        // Warm-start accounting: a hit is a hint the bracketing actually
-        // uses; out-of-range or non-finite hints fall back to the cold path.
-        let mut mu_lo = match hint {
+        // Start from the warm-start hint when it is usable (a hit is a
+        // hint the search actually starts from; out-of-range or
+        // non-finite hints fall back to the cold start).
+        let start = match hint {
             Some(h) if h.is_finite() && h > 0.0 && h < mu_hi_limit => {
                 rec.counter("solver.warm_start.hit").inc();
                 h
             }
-            Some(_) => {
-                rec.counter("solver.warm_start.miss").inc();
-                mu_hi_limit * 1e-6
-            }
-            None => mu_hi_limit * 1e-6,
-        };
-        // Expand downward until the allocation overshoots the budget;
-        // every under-budget probe along the way tightens the high side,
-        // so a good hint leaves a very small bracket.
-        let mut used_lo;
-        loop {
-            outer_iters += 1;
-            let (used, inner) = self.allocate(chunks, cols, mu_lo);
-            used_lo = used;
-            inner_total += inner;
-            rec.event(
-                "solver.outer",
-                &[
-                    ("phase", &"bracket"),
-                    ("iter", &outer_iters),
-                    ("mu", &mu_lo),
-                    ("residual", &((used_lo - budget) / budget)),
-                ],
-            );
-            if used_lo >= budget {
-                break;
-            }
-            if mu_lo < mu_hi {
-                mu_hi = mu_lo;
-                used_hi = used_lo;
-                freqs_hi.copy_from_slice(cols.f());
-            }
-            mu_lo *= if hint.is_some() { 0.25 } else { 1e-3 };
-            if mu_lo < mu_hi_limit * 1e-300 || outer_iters > self.max_outer {
-                // Budget so large every element saturates numerically; the
-                // μ→0 allocation is the best the bracket can offer and the
-                // final interpolation below scales it to the budget.
-                break;
-            }
-        }
-        let mut freqs_lo = cols.f().to_vec();
-
-        // Geometric bisection on μ (the multiplier spans many decades).
-        let mut mu = mu_lo;
-        let mut used = used_lo;
-        for _ in 0..self.max_outer {
-            outer_iters += 1;
-            if (used - budget).abs() <= budget * self.budget_tol {
-                break;
-            }
-            if mu_hi - mu_lo <= mu_hi * 1e-15 {
-                break; // bracket exhausted (see threshold note below)
-            }
-            mu = (mu_lo * mu_hi).sqrt();
-            let (probe, inner) = self.allocate(chunks, cols, mu);
-            used = probe;
-            inner_total += inner;
-            rec.event(
-                "solver.outer",
-                &[
-                    ("phase", &"bisect"),
-                    ("iter", &outer_iters),
-                    ("mu", &mu),
-                    ("residual", &((used - budget) / budget)),
-                ],
-            );
-            if used > budget {
-                mu_lo = mu;
-                used_lo = used;
-                freqs_lo.copy_from_slice(cols.f());
-            } else {
-                mu_hi = mu;
-                used_hi = used;
-                freqs_hi.copy_from_slice(cols.f());
-            }
-        }
-
-        if (used - budget).abs() <= budget * self.budget_tol {
-            // Converged: snap the (already tiny) residual multiplicatively.
-            if used > 0.0 {
-                let scale = budget / used;
-                for f in cols.f_mut() {
-                    *f *= scale;
+            other => {
+                if other.is_some() {
+                    rec.counter("solver.warm_start.miss").inc();
                 }
+                let (p, lam, s) = (fill.cols.p(), fill.cols.lambda(), fill.cols.s());
+                sqrt_law_level(
+                    p.iter().zip(lam).zip(s).map(|((&p, &l), &s)| (p, l, s)),
+                    budget,
+                    mu_hi_limit,
+                )
             }
-        } else if used_lo > used_hi && used_lo >= budget {
+        };
+        let level = self.water_level(&mut fill, budget, self.budget_tol, mu_hi_limit, start)?;
+        let PackedFill { cols, lo, hi, .. } = fill;
+        match level.straddle {
             // The optimum sits on (or the budget is huge relative to) a
             // starvation threshold: `f(μ)` for the boundary element jumps
             // numerically because its marginal is float-flat near `p/(λs)`
             // — `∂F̄/∂f → 1/λ` double-exponentially as f → 0 — so no float
             // μ lands inside the gap. The two bracket ends straddle the
             // budget.
-            blend_bracket_ends(
-                cols.f_mut(),
-                (&freqs_lo, used_lo),
-                (&freqs_hi, used_hi),
-                budget,
-            );
-            mu = mu_lo;
-        } else {
-            return Err(CoreError::NoConvergence {
-                routine: "lagrange outer bisection",
-                iterations: outer_iters,
-                residual: (used - budget).abs() / budget,
-            });
+            Some(ends) => blend_bracket_ends(cols.f_mut(), (&lo, ends.0), (&hi, ends.1), budget),
+            // Converged: snap the (already tiny) residual multiplicatively.
+            None => snap_to_budget(cols.f_mut(), level.used, budget),
         }
 
-        c_outer.add(outer_iters as u64);
-        c_inner.add(inner_total as u64);
+        let passes = probed + level.passes;
+        c_outer.add(level.passes as u64);
+        c_inner.add(level.steps as u64);
         let mut freqs = vec![0.0; n];
         cols.scatter_f(&mut freqs);
         let mut sol = Solution::evaluate_with_policy(problem, freqs, self.policy);
-        sol.multiplier = Some(mu);
+        sol.multiplier = Some(level.mu);
         if gamma > 0.0 {
             sol.cost_multiplier = Some(gamma);
         }
-        sol.iterations = outer_iters;
+        sol.iterations = passes;
         Ok(sol)
     }
 
+    /// The one safeguarded root-finder on the water level μ, shared by
+    /// every water-filling solve (flat, warm, each γ probe of
+    /// [`solve_cost_budget`](Self::solve_cost_budget), and the tiered
+    /// shared-price split): find μ where the pass spends `budget`.
+    ///
+    /// Spend falls monotonically in μ and, where most of it sits on the
+    /// `f ∝ μ^{−1/2}` side of the solution locus, is nearly a power law,
+    /// so Newton works in logarithms: each step solves
+    /// `ln used(μ) = ln B` along the slope `−d ln used/d ln μ`. The pass
+    /// measures that slope itself (`Σ sᵢfᵢEᵢ / used`, elasticities capped
+    /// at [`MAX_ELASTICITY`]); because the cap understates elements at
+    /// their starvation threshold, the step uses the secant through the
+    /// previous pass when that is steeper.
+    ///
+    /// A pass over budget fixes the bracket's low end, one under it the
+    /// high end; the high end starts at `mu_limit`, where nothing is
+    /// funded, and until a pass overspends, a Newton step that is not
+    /// downhill inside the bracket marches μ down 1000-fold. Once both
+    /// ends are known, a Newton step that leaves the bracket, or a
+    /// residual that failed to halve over two passes, is replaced by an
+    /// Illinois false-position step in `(ln μ, used − B)`.
+    ///
+    /// Stops when `|used − B| ≤ tol·B`, or when the bracket has closed
+    /// to `tol·μ` without that (the optimum straddles a starvation
+    /// threshold): then `straddle` carries both ends' spends for
+    /// [`blend_bracket_ends`].
+    pub(crate) fn water_level(
+        &self,
+        fill: &mut impl WaterFill,
+        budget: f64,
+        tol: f64,
+        mu_limit: f64,
+        start: f64,
+    ) -> Result<Level> {
+        let rec = &self.recorder;
+        let (mut mu_lo, mut used_lo) = (0.0f64, f64::INFINITY);
+        let (mut mu_hi, mut used_hi) = (mu_limit, 0.0f64);
+        // Illinois weights on the ends' residuals, and which end moved last.
+        let (mut w_lo, mut w_hi) = (1.0f64, 1.0f64);
+        let mut last_end = None;
+        // |used − B| one and two passes back.
+        let mut history = [f64::INFINITY; 2];
+        let (mut mu, mut phase) = (start, "start");
+        let mut steps = 0usize;
+        let mut passes = 0usize;
+        // (ln μ, ln used) of the previous pass, for the secant slope.
+        let mut previous: Option<(f64, f64)> = None;
+        while passes < self.max_outer {
+            passes += 1;
+            let pass = fill.fill(mu);
+            steps += pass.steps;
+            let residual = pass.used - budget;
+            rec.event(
+                "solver.outer",
+                &[
+                    ("phase", &phase),
+                    ("iter", &passes),
+                    ("mu", &mu),
+                    ("residual", &(residual / budget)),
+                ],
+            );
+            if residual.abs() <= budget * tol {
+                return Ok(Level {
+                    mu,
+                    used: pass.used,
+                    passes,
+                    steps,
+                    straddle: None,
+                });
+            }
+            let end = if residual > 0.0 { End::Lo } else { End::Hi };
+            match end {
+                End::Lo => (mu_lo, used_lo) = (mu, pass.used),
+                End::Hi => (mu_hi, used_hi) = (mu, pass.used),
+            }
+            fill.keep(end);
+            if last_end == Some(end) {
+                // The same end moved twice: halve the stale end's weight.
+                match end {
+                    End::Lo => w_hi *= 0.5,
+                    End::Hi => w_lo *= 0.5,
+                }
+            } else {
+                (w_lo, w_hi) = (1.0, 1.0);
+            }
+            last_end = Some(end);
+            if mu_lo > 0.0 && mu_hi - mu_lo <= mu_hi * tol {
+                return Ok(Level {
+                    mu: mu_lo,
+                    used: budget,
+                    passes,
+                    steps,
+                    straddle: Some((used_lo, used_hi)),
+                });
+            }
+
+            // Newton in logs: ln used(μ) = ln B along the steeper of the
+            // pass's capped analytic slope and the secant through the
+            // previous pass. The cap makes the analytic slope a lower
+            // bound on the near-threshold response; the secant measures
+            // it, so steps stop overshooting as they shrink.
+            let (ln_mu, ln_used) = (mu.ln(), pass.used.ln());
+            let mut slope = pass.slope / pass.used;
+            if let Some((prev_mu, prev_used)) = previous {
+                let secant = (prev_used - ln_used) / (ln_mu - prev_mu);
+                if secant > slope {
+                    slope = secant;
+                }
+            }
+            previous = Some((ln_mu, ln_used));
+            let newton = if slope > 0.0 && pass.used > 0.0 {
+                (ln_mu + (pass.used / budget).ln() / slope).exp()
+            } else {
+                f64::NAN
+            };
+            let stalled = residual.abs() > 0.5 * history[1];
+            history = [residual.abs(), history[0]];
+            let inside = newton > mu_lo && newton < mu_hi;
+            (mu, phase) = if mu_lo == 0.0 {
+                // No pass has overspent yet: Newton, or march down.
+                if inside {
+                    (newton, "newton")
+                } else {
+                    (mu * 1e-3, "march")
+                }
+            } else if inside && !stalled {
+                (newton, "newton")
+            } else {
+                let (u_lo, u_hi) = (mu_lo.ln(), mu_hi.ln());
+                let (r_lo, r_hi) = (w_lo * (used_lo - budget), w_hi * (used_hi - budget));
+                let falsi = (u_hi - r_hi * (u_hi - u_lo) / (r_hi - r_lo)).exp();
+                if falsi > mu_lo && falsi < mu_hi {
+                    (falsi, "illinois")
+                } else {
+                    ((mu_lo * mu_hi).sqrt(), "bisect")
+                }
+            };
+        }
+        Err(CoreError::NoConvergence {
+            routine: "lagrange water-level search",
+            iterations: passes,
+            residual: history[0] / budget,
+        })
+    }
+
     /// For a fixed multiplier, fill the packed frequency column with each
-    /// active element's optimal frequency; returns the bandwidth consumed
-    /// and the total inner (Newton/bisection) iterations spent.
+    /// active element's optimal frequency; returns the bandwidth
+    /// consumed, the spend-weighted elasticity sum and the kernel steps.
     ///
     /// Each chunk of the packed columns is water-filled as one executor
-    /// task over contiguous `p`/`λ`/`s` slices — no index indirection in
-    /// the inner loop. The per-chunk bandwidth partials are compensated
-    /// and merged in chunk order, so the consumed total is bit-identical
-    /// at any worker count.
-    fn allocate(&self, chunks: &[Range<usize>], cols: &mut PackedColumns, mu: f64) -> (f64, usize) {
-        let (p, lam, s) = (cols.p(), cols.lambda(), cols.s());
-        let c = cols.c();
-        let parts = self.executor.map_ranges(chunks, |range| {
-            let mut local = Vec::with_capacity(range.len());
+    /// task over contiguous `p`/`λ`/`s` slices, writing its frequencies in
+    /// place. The per-chunk partials are merged in chunk order (the spend
+    /// compensated), so the pass is bit-identical at any worker count.
+    fn allocate(&self, chunks: &[Range<usize>], cols: &mut PackedColumns, mu: f64) -> Pass {
+        let (ro, f) = cols.parts_mut();
+        let parts = self.executor.map_ranges_mut(chunks, f, |range, out| {
             let mut used = NeumaierSum::new();
-            let mut inner = 0usize;
-            for k in range {
-                let (f, iters) = self.element_frequency_counted(p[k], lam[k], s[k], c[k], mu);
-                local.push(f);
-                used.add(s[k] * f);
-                inner += iters;
+            let mut slope = 0.0f64;
+            let mut funded = 0usize;
+            for (k, f) in range.zip(out) {
+                let (fk, elasticity) = self.water_fill(ro.p[k], ro.lambda[k], ro.s[k], ro.c[k], mu);
+                *f = fk;
+                let spend = ro.s[k] * fk;
+                used.add(spend);
+                slope += spend * elasticity;
+                funded += usize::from(fk > 0.0);
             }
-            (local, used, inner)
+            (used, slope, funded)
         });
-        let freqs = cols.f_mut();
         let mut used = NeumaierSum::new();
-        let mut inner = 0usize;
-        for (range, (local, part_used, part_inner)) in chunks.iter().zip(parts) {
-            freqs[range.clone()].copy_from_slice(&local);
+        let mut slope = 0.0f64;
+        let mut funded = 0usize;
+        for (part_used, part_slope, part_funded) in parts {
             used.merge(part_used);
-            inner += part_inner;
+            slope += part_slope;
+            funded += part_funded;
         }
-        (used.total(), inner)
+        Pass {
+            used: used.total(),
+            slope,
+            steps: funded * self.kernel_steps(),
+        }
+    }
+
+    /// Kernel steps one funded element costs: the fixed Halley count under
+    /// Fixed Order, none for the closed-form Poisson law.
+    fn kernel_steps(&self) -> usize {
+        match self.policy {
+            SyncPolicy::FixedOrder => HALLEY_STEPS,
+            SyncPolicy::Poisson => 0,
+        }
     }
 
     /// Solve `p·g(f; λ) = μ·s + γ·c` for `f ≥ 0` (unique root; 0 when the
-    /// zero-frequency marginal value already falls below the levy-adjusted
+    /// zero-frequency marginal value does not exceed the levy-adjusted
     /// threshold). With the solver's default `cost_weight = 0` the levy
     /// vanishes and this is exactly `p·g(f; λ) = μ·s`.
     ///
@@ -632,17 +683,17 @@ impl LagrangeSolver {
     /// unit-cost `c = 1.0` is assumed here; cost-aware callers go through
     /// [`element_frequency_costed`](Self::element_frequency_costed).
     pub fn element_frequency(&self, p: f64, lam: f64, s: f64, mu: f64) -> f64 {
-        self.element_frequency_counted(p, lam, s, 1.0, mu).0
+        self.water_fill(p, lam, s, 1.0, mu).0
     }
 
     /// [`element_frequency`](Self::element_frequency) with an explicit
     /// per-poll cost `c` for the `γ·c` levy term.
     pub fn element_frequency_costed(&self, p: f64, lam: f64, s: f64, c: f64, mu: f64) -> f64 {
-        self.element_frequency_counted(p, lam, s, c, mu).0
+        self.water_fill(p, lam, s, c, mu).0
     }
 
-    /// [`element_frequency`](Self::element_frequency) plus the inner
-    /// iteration count, for instrumentation.
+    /// [`water_fill`](Self::water_fill)'s frequency plus the kernel steps
+    /// it took, for repair's per-element reseeds.
     pub(crate) fn element_frequency_counted(
         &self,
         p: f64,
@@ -651,62 +702,213 @@ impl LagrangeSolver {
         c: f64,
         mu: f64,
     ) -> (f64, usize) {
-        // Target marginal value of F̄ alone: the budget shadow price plus
-        // the per-poll levy, in freshness-per-poll units. At
-        // `cost_weight = 0` the levy term is an exact `+0.0` and the
-        // target reduces bitwise to the cost-blind `μ·s/p`.
-        let t = (mu * s + self.cost_weight * c) / p;
-        if t >= 1.0 / lam {
-            return (0.0, 0); // not worth any bandwidth at this water level
+        let (f, _) = self.water_fill(p, lam, s, c, mu);
+        (f, if f > 0.0 { self.kernel_steps() } else { 0 })
+    }
+
+    /// The closed-form water-filling kernel: element `(p, λ, s, c)`'s
+    /// optimal frequency at water level `μ`, and its elasticity
+    /// `E = −d ln f/d ln μ` capped at [`MAX_ELASTICITY`] (both 0 when the
+    /// element is starved).
+    ///
+    /// Under Fixed Order, `∂F̄/∂f = φ(λ/f)/λ`, so with
+    /// `y = λ(μs + γc)/p` stationarity reads `φ(x) = y` for `x = λ/f`:
+    /// every element sits on the one locus `x = ψ(y)`, `ψ = φ⁻¹`, found
+    /// by [`fixed_order_root`] at a fixed cost. `y ≥ 1` means the
+    /// zero-frequency marginal `p/λ` is already under the threshold.
+    /// Poisson is closed form: `f = √(pλ/(μs + γc)) − λ`.
+    ///
+    /// The cost is the same for every funded element: no loop exits on
+    /// the data, so consecutive elements overlap in the pipeline.
+    /// `μs + γc` must be positive.
+    #[inline]
+    pub(crate) fn water_fill(&self, p: f64, lam: f64, s: f64, c: f64, mu: f64) -> (f64, f64) {
+        let tau = mu * s + self.cost_weight * c;
+        let lam_tau = lam * tau;
+        if lam_tau >= p {
+            return (0.0, 0.0); // not worth any bandwidth at this water level
         }
-        // Bracket the root: g(f) ~ λ/(2f²) for f ≫ λ gives a starting
-        // point; expand until g < t.
-        let mut lo = 0.0f64;
-        let mut hi = (lam / (2.0 * t)).sqrt().max(lam).max(1e-12);
-        let mut g_hi = self.policy.gradient(lam, hi);
-        let mut expand = 0;
-        while g_hi > t {
-            lo = hi;
-            hi *= 2.0;
-            g_hi = self.policy.gradient(lam, hi);
-            expand += 1;
-            if expand > 200 {
-                return (hi, expand); // t is numerically 0; effectively unbounded
+        let (f, elasticity) = match self.policy {
+            SyncPolicy::FixedOrder => {
+                let inv_p = 1.0 / p;
+                // 1 − y from the inputs: no cancellation as y → 1.
+                let (y, q) = (lam_tau * inv_p, (p - lam_tau) * inv_p);
+                let (x, x_dphi) = fixed_order_root(y.max(f64::MIN_POSITIVE), q);
+                // d ln x/d ln y = y/(x·φ′(x)); only the μ share of y moves.
+                (lam / x, lam * mu * s * inv_p / x_dphi)
             }
-        }
-        // Safeguarded Newton on h(f) = g(f) − t, h decreasing.
-        let mut f = 0.5 * (lo + hi);
-        let mut iters = 0;
-        for _ in 0..self.max_inner {
-            iters += 1;
-            let h = self.policy.gradient(lam, f) - t;
-            if h.abs() <= t * 1e-12 {
-                break;
+            SyncPolicy::Poisson => {
+                let root = (p * lam / tau).sqrt();
+                let f = root - lam;
+                (f, 0.5 * root / f * (mu * s / tau))
             }
-            if h > 0.0 {
-                lo = f;
-            } else {
-                hi = f;
-            }
-            let dh = self.policy.second_derivative(lam, f);
-            let newton = if dh < 0.0 { f - h / dh } else { f64::NAN };
-            f = if newton.is_finite() && newton > lo && newton < hi {
-                newton
-            } else {
-                0.5 * (lo + hi)
-            };
-            if (hi - lo) <= f * 1e-14 {
-                break;
-            }
-        }
-        (f, iters)
+        };
+        (f, elasticity.min(MAX_ELASTICITY))
     }
 }
 
+/// Scale `f`, which spends `used`, to spend `budget`: the multiplicative
+/// snap of a converged solve's tiny residual. Evaluated as
+/// `f + f·(B − used)/used`, where `B − used` is exact, so each element
+/// takes one rounding instead of the two of `f·(B/used)`.
+pub(crate) fn snap_to_budget(f: &mut [f64], used: f64, budget: f64) {
+    if used > 0.0 {
+        let correction = (budget - used) / used;
+        for f in f {
+            *f += *f * correction;
+        }
+    }
+}
+
+/// Which end of the water-level bracket a pass landed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum End {
+    /// Over budget: μ is below the water level.
+    Lo,
+    /// Under budget: μ is above it.
+    Hi,
+}
+
+/// What one allocation pass at a trial water level measured.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pass {
+    /// Bandwidth `Σ sᵢfᵢ` allocated.
+    pub used: f64,
+    /// `Σ sᵢfᵢEᵢ = −d used/d ln μ`, each elasticity capped.
+    pub slope: f64,
+    /// Kernel steps taken.
+    pub steps: usize,
+}
+
+/// A water-filling problem as [`LagrangeSolver::water_level`] sees it.
+pub(crate) trait WaterFill {
+    /// Allocate at water level `mu`.
+    fn fill(&mut self, mu: f64) -> Pass;
+    /// Keep the last pass's allocation as the bracket's `end`.
+    fn keep(&mut self, end: End);
+}
+
+/// Where the water-level search stopped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Level {
+    /// The converged μ, or the bracket's low end after a straddle.
+    pub mu: f64,
+    /// Spend at `mu` (the budget itself after a straddle).
+    pub used: f64,
+    /// Allocation passes spent.
+    pub passes: usize,
+    /// Kernel steps spent.
+    pub steps: usize,
+    /// `(used_lo, used_hi)` of the kept ends when the bracket closed on a
+    /// straddle; their allocations blend to the budget.
+    pub straddle: Option<(f64, f64)>,
+}
+
+/// The flat solve's [`WaterFill`]: passes write the packed frequency
+/// column, and keeping an end swaps that column with the end's buffer,
+/// so no pass copies an allocation.
+struct PackedFill<'a> {
+    solver: &'a LagrangeSolver,
+    chunks: &'a [Range<usize>],
+    cols: &'a mut PackedColumns,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+impl WaterFill for PackedFill<'_> {
+    fn fill(&mut self, mu: f64) -> Pass {
+        self.solver.allocate(self.chunks, self.cols, mu)
+    }
+
+    fn keep(&mut self, end: End) {
+        self.cols.swap_f(match end {
+            End::Lo => &mut self.lo,
+            End::Hi => &mut self.hi,
+        });
+    }
+}
+
+/// Cold-start water level from the small-`x` law `φ(x) ≈ x²/2`, under
+/// which `f = √(pλ/(2μs))` and the spend is `μ^{−1/2}·Σ√(pλs/2)`: the μ
+/// that spends `budget` under that law. Since `φ(x) ≤ x²/2`, the true
+/// spend there is at most `budget`, so the start sits at or above the
+/// water level; it is kept below `mu_limit`.
+pub(crate) fn sqrt_law_level(
+    terms: impl Iterator<Item = (f64, f64, f64)>,
+    budget: f64,
+    mu_limit: f64,
+) -> f64 {
+    let root_sum: f64 = terms.map(|(p, lam, s)| (0.5 * p * lam * s).sqrt()).sum();
+    let level = (root_sum / budget).powi(2);
+    if level > 0.0 && level < mu_limit {
+        level
+    } else {
+        0.5 * mu_limit
+    }
+}
+
+/// Solve `φ(x) = y` for `x = ψ(y) = −1 − W₋₁(−(1 − y)/e)` at a fixed
+/// cost, given `y ∈ (0, 1)` and `q = 1 − y` formed by the caller from its
+/// inputs. Returns the root and `x·φ′(x)` at the last step's point (the
+/// elasticity's denominator).
+///
+/// The start takes one of two branches: the branch-point series in
+/// `s = √(2y)` below `y = 0.6`, the `W₋₁` asymptotic in `L = −ln q`
+/// above. It is within 6% of the root on all of `(0, 1)`, and
+/// [`HALLEY_STEPS`] Halley steps (`φ′ = x·e^{−x}`,
+/// `φ″ = (1 − x)·e^{−x}`, one `exp` each) bring it to ~3e-14. The
+/// residual `φ(x) − y` is the series minus `y` below
+/// [`PHI_SERIES_BELOW`] and `q − (1 + x)·e^{−x}` above, so neither tail
+/// cancels.
+#[inline]
+fn fixed_order_root(y: f64, q: f64) -> (f64, f64) {
+    let mut x = if y < 0.6 {
+        let s = (2.0 * y).sqrt();
+        s * (1.0
+            + s * (1.0 / 3.0
+                + s * (11.0 / 72.0
+                    + s * (43.0 / 540.0 + s * (769.0 / 17280.0 + s * (221.0 / 8505.0))))))
+    } else {
+        let l = -q.ln();
+        let l1 = l.ln_1p();
+        l + l1 + l1 / (1.0 + l)
+    };
+    let mut x_dphi = 0.0;
+    for _ in 0..HALLEY_STEPS {
+        let e = (-x).exp();
+        let h = if x < PHI_SERIES_BELOW {
+            phi_series(x) - y
+        } else {
+            q - (1.0 + x) * e
+        };
+        x_dphi = x * x * e;
+        // x − 2hφ′/(2φ′² − hφ″), divided through by e^{−x}.
+        x -= 2.0 * h * x / (2.0 * x_dphi - h * (1.0 - x));
+    }
+    (x, x_dphi)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use freshen_core::freshness::{freshness_gradient, perceived_freshness};
+    use freshen_core::audit::SolutionAudit;
+    use freshen_core::freshness::{freshness_gradient, perceived_freshness, phi};
+
+    /// Zipf-interest instances whose every fifth element's change rate is
+    /// scaled by `tilt`: drifting `tilt` moves a fixed stripe of elements,
+    /// and some `(n, tilt)` put the budget on a starvation threshold.
+    pub(crate) fn striped(n: usize, tilt: f64) -> Problem {
+        let rates: Vec<f64> = (0..n)
+            .map(|i| (0.1 + (i % 13) as f64 * 0.4) * if i % 5 == 0 { tilt } else { 1.0 })
+            .collect();
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+        Problem::builder()
+            .change_rates(rates)
+            .access_weights(weights)
+            .bandwidth(n as f64 / 3.0)
+            .build()
+            .unwrap()
+    }
 
     fn toy(probs: Vec<f64>) -> Problem {
         Problem::builder()
@@ -863,6 +1065,105 @@ mod tests {
             .unwrap();
         let sol = LagrangeSolver::default().solve(&problem).unwrap();
         assert!((sol.frequencies[0] - 7.0).abs() < 1e-8);
+    }
+
+    // ---- Kernel and water-level search ----------------------------------
+
+    #[test]
+    fn kernel_lands_on_the_stationarity_locus() {
+        // p·g(f) = μ·s, i.e. φ(λ/f) = y, across the whole locus y ∈ (0, 1):
+        // both start branches, the series/closed-form residual seam, and
+        // the stiff end where f → λ/40.
+        let solver = LagrangeSolver::default();
+        let ys = (0..=130)
+            .map(|k| 10f64.powf(-14.0 + k as f64 * 0.1))
+            .chain((1..200).map(|k| k as f64 / 200.0))
+            .chain((10..=130).map(|k| 1.0 - 10f64.powf(-k as f64 * 0.1)));
+        for y in ys {
+            for lam in [0.3, 2.5] {
+                let (p, s) = (0.7, 1.3);
+                let mu = y * p / (lam * s);
+                let (f, elasticity) = solver.water_fill(p, lam, s, 1.0, mu);
+                assert!(f > 0.0 && elasticity > 0.0, "λ={lam} y={y:e}: f {f}");
+                let got = phi(lam / f);
+                assert!(
+                    (got - y).abs() <= y * 1e-13 + 1e-16,
+                    "λ={lam} y={y:e}: φ(λ/f) = {got:e}"
+                );
+                let marginal = p * freshness_gradient(lam, f) / s;
+                assert!((marginal - mu).abs() <= mu * 1e-12 + 1e-16 * p / (lam * s));
+            }
+        }
+        // At and past the threshold p/(λs) nothing is allocated.
+        assert_eq!(
+            solver.water_fill(0.7, 2.5, 1.3, 1.0, 0.7 / 3.25),
+            (0.0, 0.0)
+        );
+        assert_eq!(solver.water_fill(0.7, 2.5, 1.3, 1.0, 1.0), (0.0, 0.0));
+    }
+
+    #[test]
+    fn kernel_elasticity_matches_finite_difference() {
+        for policy in [SyncPolicy::FixedOrder, SyncPolicy::Poisson] {
+            for gamma in [0.0, 0.05] {
+                let solver = LagrangeSolver {
+                    policy,
+                    cost_weight: gamma,
+                    ..Default::default()
+                };
+                let (p, lam, s, c) = (0.4, 1.7, 0.8, 2.0);
+                for mu in [1e-6, 1e-3, 0.05, 0.2] {
+                    let (f, elasticity) = solver.water_fill(p, lam, s, c, mu);
+                    if f <= 0.0 {
+                        continue;
+                    }
+                    let h = 1e-6;
+                    let up = solver.water_fill(p, lam, s, c, mu * (1.0 + h)).0;
+                    let down = solver.water_fill(p, lam, s, c, mu * (1.0 - h)).0;
+                    let numeric = -(up.ln() - down.ln()) / ((1.0 + h).ln() - (1.0 - h).ln());
+                    assert!(
+                        (numeric - elasticity).abs() <= 1e-5 * (1.0 + elasticity),
+                        "{policy:?} γ={gamma} μ={mu}: numeric {numeric} vs {elasticity}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn water_level_passes_stay_low_on_the_striped_grid() {
+        // 49 striped instances, some with the budget on a starvation
+        // threshold. Bisection took a median of 38 passes here and up to
+        // 56; the Newton search must stay well under both, certify every
+        // solve, and a warm start from its own answer may never cost more
+        // than the cold solve did.
+        let solver = LagrangeSolver::default();
+        let mut passes = Vec::new();
+        for n in [300, 500, 1000, 2000, 3000, 5000, 10_000] {
+            for tilt in [0.7, 0.9, 1.1, 1.35, 2.0, 4.0, 6.0] {
+                let problem = striped(n, tilt);
+                let cold = solver.solve(&problem).unwrap();
+                let report = SolutionAudit::default()
+                    .check(&problem, &cold, solver.policy)
+                    .unwrap();
+                assert!(report.is_clean(), "n={n} tilt={tilt}: {}", report.to_json());
+                let warm = solver
+                    .solve_warm(&problem, cold.multiplier.unwrap())
+                    .unwrap();
+                assert!(
+                    warm.iterations <= cold.iterations,
+                    "n={n} tilt={tilt}: warm {} vs cold {}",
+                    warm.iterations,
+                    cold.iterations
+                );
+                passes.push(cold.iterations);
+            }
+        }
+        passes.sort_unstable();
+        let median = passes[passes.len() / 2];
+        let worst = passes[passes.len() - 1];
+        assert!(median <= 15, "median passes {median} ({passes:?})");
+        assert!(worst <= 56, "worst passes {worst} ({passes:?})");
     }
 
     // ---- Sized (extended) problem ---------------------------------------
@@ -1079,7 +1380,7 @@ mod tests {
         assert!(last_pf > 0.9, "ample bandwidth approaches full freshness");
     }
 
-    // ---- Parallel / sharded modes ---------------------------------------
+    // ---- Parallel mode ---------------------------------------------------
 
     fn scale_problem(n: usize) -> Problem {
         Problem::builder()
@@ -1105,112 +1406,6 @@ mod tests {
             assert_eq!(serial.frequencies, pooled.frequencies, "workers={workers}");
             assert_eq!(serial.iterations, pooled.iterations);
             assert_eq!(serial.multiplier, pooled.multiplier);
-        }
-    }
-
-    #[test]
-    fn sharded_solve_matches_global_optimum() {
-        let problem = scale_problem(5_000);
-        let global = LagrangeSolver::default().solve(&problem).unwrap();
-        for shards in [1, 4, 32] {
-            let sharded = LagrangeSolver::default()
-                .with_executor(Executor::thread_pool(4))
-                .solve_sharded(&problem, shards)
-                .unwrap();
-            assert!(
-                (sharded.perceived_freshness - global.perceived_freshness).abs() < 1e-9,
-                "shards={shards}: PF {} vs global {}",
-                sharded.perceived_freshness,
-                global.perceived_freshness
-            );
-            assert!(
-                (sharded.bandwidth_used - problem.bandwidth()).abs() < problem.bandwidth() * 1e-6
-            );
-            for (i, (a, b)) in sharded
-                .frequencies
-                .iter()
-                .zip(&global.frequencies)
-                .enumerate()
-            {
-                assert!(
-                    (a - b).abs() <= 1e-6 * (1.0 + b.abs()),
-                    "shards={shards} element {i}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_solve_is_deterministic_across_worker_counts() {
-        let problem = scale_problem(3_000);
-        let base = LagrangeSolver::default()
-            .solve_sharded(&problem, 16)
-            .unwrap();
-        for workers in [2, 8] {
-            let pooled = LagrangeSolver::default()
-                .with_executor(Executor::thread_pool(workers))
-                .solve_sharded(&problem, 16)
-                .unwrap();
-            assert_eq!(base.frequencies, pooled.frequencies, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn sharded_solve_is_cost_aware_under_levy() {
-        // Differential pin: the sharded path routes through the same
-        // cost-aware allocation as the global solve, so a γ > 0 levy on
-        // a costed problem must give the same optimum — not silently
-        // revert to the cost-blind answer.
-        let n = 4_000;
-        let problem = Problem::builder()
-            .change_rates((0..n).map(|i| 0.1 + (i % 17) as f64 * 0.3).collect())
-            .access_weights((0..n).map(|i| 1.0 / (i + 1) as f64).collect())
-            .sizes((0..n).map(|i| 0.25 + (i % 7) as f64 * 0.5).collect())
-            .costs((0..n).map(|i| 0.5 + (i % 5) as f64).collect())
-            .bandwidth(n as f64 / 4.0)
-            .build()
-            .unwrap();
-        let gamma = 3e-4;
-        let global = LagrangeSolver::default()
-            .with_cost_weight(gamma)
-            .solve(&problem)
-            .unwrap();
-        let blind = LagrangeSolver::default().solve(&problem).unwrap();
-        assert!(
-            problem.cost_used(&global.frequencies) < problem.cost_used(&blind.frequencies),
-            "levy must reshape the costed optimum for the pin to mean anything"
-        );
-        for shards in [1, 4, 32] {
-            let sharded = LagrangeSolver::default()
-                .with_cost_weight(gamma)
-                .solve_sharded(&problem, shards)
-                .unwrap();
-            assert_eq!(sharded.cost_multiplier, Some(gamma));
-            assert!(
-                (sharded.perceived_freshness - global.perceived_freshness).abs() < 1e-9,
-                "shards={shards}: PF {} vs global {}",
-                sharded.perceived_freshness,
-                global.perceived_freshness
-            );
-            let (sc, gc) = (
-                problem.cost_used(&sharded.frequencies),
-                problem.cost_used(&global.frequencies),
-            );
-            assert!(
-                (sc - gc).abs() <= gc * 1e-6,
-                "shards={shards}: cost spend {sc} vs global {gc}"
-            );
-            for (i, (a, b)) in sharded
-                .frequencies
-                .iter()
-                .zip(&global.frequencies)
-                .enumerate()
-            {
-                assert!(
-                    (a - b).abs() <= 1e-6 * (1.0 + b.abs()),
-                    "shards={shards} element {i}: {a} vs {b}"
-                );
-            }
         }
     }
 

@@ -7,14 +7,14 @@
 //!
 //! * [`lagrange`] — the **exact** solution by the method of Lagrange
 //!   multipliers (the paper's Appendix), implemented as a water-filling
-//!   scheme: an outer bisection on the multiplier `μ` with an inner
-//!   safeguarded-Newton solve of `pᵢ·∂F̄/∂f = μ·sᵢ` per element. Runs in
-//!   `O(N)` per multiplier probe and reproduces the paper's Table 1 to two
-//!   decimals.
+//!   scheme: a safeguarded Newton search on the multiplier `μ` over
+//!   passes that evaluate each element's `pᵢ·∂F̄/∂f = μ·sᵢ` root in
+//!   closed form (a fixed number of Halley steps). Runs in `O(N)` per
+//!   pass and reproduces the paper's Table 1 to two decimals.
 //! * [`repair`] — **incremental KKT repair**: when drift touched only a
 //!   small subset of elements, re-water-fill from the previous optimum and
 //!   patch the multiplier by safeguarded Newton on the budget residual
-//!   (3–5 probes) instead of re-running the full outer bisection. Always
+//!   (3–5 probes) instead of re-running the full search. Always
 //!   paired with the strict [`SolutionAudit`](freshen_core::SolutionAudit)
 //!   certificate ("repair then certify").
 //! * [`projected_gradient`] — a *generic* non-linear-programming solver

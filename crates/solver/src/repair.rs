@@ -1,26 +1,26 @@
 //! Incremental KKT repair: patch a previous optimum after localized drift
-//! instead of re-running the full outer bisection.
+//! instead of re-running the full water-level search.
 //!
 //! The periodic re-solve loop (`freshen-heuristics`' `AdaptiveScheduler`)
 //! usually faces *localized* drift: a handful of elements changed their
 //! rates or interest while the rest of the problem — and therefore the
 //! water level `μ*` — barely moved. A full warm re-solve still pays
-//! `O(probes · N)` with `probes ≈ 20–40`, because geometric bisection
-//! narrows the multiplier bracket one bit per pass regardless of how close
-//! the starting point was.
+//! `O(passes · N)`: its Newton search starts at the old `μ*` but has no
+//! way to know which elements moved, so every pass re-evaluates every
+//! element.
 //!
-//! Repair exploits two facts the bisection ignores:
+//! Repair exploits what the full search cannot know:
 //!
-//! 1. **Warm per-element solves are cheap.** Seeded from the previous
-//!    optimum's frequency, each inner root find starts inside a tight
-//!    bracket and converges in 1–3 Newton steps instead of the cold
-//!    path's ~10.
-//! 2. **The budget residual has an analytic derivative.** Differentiating
-//!    the stationarity condition `p·g(f; λ) = μ·s` in `μ` gives
-//!    `df/dμ = s / (p·g′(f))`, so
-//!    `dR/dμ = Σ_{f>0} s²/(p·g′(f)) < 0` falls out of the same pass that
-//!    evaluates `R(μ) = Σ s·f(μ) − B`. A safeguarded Newton iteration on
-//!    `μ` therefore converges superlinearly — typically 3–5 probes.
+//! 1. **The untouched elements are already at their optimum for the old
+//!    multiplier `μ0`.** Their bandwidth at `μ0` is known without a pass,
+//!    and a linear model of their response (a sampled analytic slope,
+//!    then secants measured between exact passes) lets a cheap
+//!    `O(|touched|)` frontier Newton converge `μ` before the first full
+//!    pass.
+//! 2. **Warm per-element solves start next to their roots.** Seeded from
+//!    the previous frequency, each element's Newton root find converges
+//!    in 1–3 steps, and the budget residual's analytic derivative
+//!    `dR/dμ = Σ_{f>0} s²/(p·g′(f))` falls out of the same pass.
 //!
 //! The touched set steers *seeding only*: touched elements are re-solved
 //! cold at the previous multiplier (their old frequency may be arbitrarily
@@ -42,7 +42,9 @@ use freshen_core::numeric::NeumaierSum;
 use freshen_core::problem::{Problem, Solution};
 use freshen_core::soa::PackedColumns;
 
-use crate::lagrange::{blend_bracket_ends, LagrangeSolver, STATIC_RATE};
+use crate::lagrange::{
+    blend_bracket_ends, snap_to_budget, LagrangeSolver, MAX_ELASTICITY, STATIC_RATE,
+};
 
 /// Hard cap on repair Newton probes (full warm passes over the active
 /// set). Far above the typical 1–3; hitting it means the drift was global
@@ -53,16 +55,6 @@ const MAX_PROBES: usize = 40;
 /// are nearly free relative to a full pass). The model converges in 3–5
 /// probes when the drift really was local.
 const FRONTIER_PROBES: usize = 12;
-
-/// Elasticity cap for the analytic residual slope. Elements hovering near
-/// the starvation threshold have a double-exponentially flat marginal, so
-/// their pointwise `df/dμ = s/(p·g″(f))` can reach 10¹⁰× their actual
-/// bounded response (`f` can only fall to 0) — one such element poisons
-/// the aggregate slope and freezes Newton into micro-steps. Capping each
-/// element's contribution at `E·s·f/μ` (a relative μ move changes its
-/// bandwidth at most `E`-fold proportionally) leaves ordinary elements
-/// untouched — their elasticity is O(1) — and bounds the stiff ones.
-const MAX_ELASTICITY: f64 = 1e3;
 
 /// Stride for the sampled analytic rest-slope estimate accumulated during
 /// the reseed pass. Every `SLOPE_SAMPLE_STRIDE`-th untouched element pays
@@ -407,12 +399,7 @@ impl LagrangeSolver {
 
         // Multiplicative snap of the (already tiny) residual, exactly as
         // the full solve does at convergence.
-        if used > 0.0 {
-            let scale = budget / used;
-            for f in cols.f_mut() {
-                *f *= scale;
-            }
-        }
+        snap_to_budget(cols.f_mut(), used, budget);
 
         rec.counter("solver.repair.probes").add(probes as u64);
         rec.counter("solver.repair.inner_iters")
@@ -623,20 +610,8 @@ impl LagrangeSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lagrange::tests::striped;
     use freshen_core::audit::SolutionAudit;
-
-    fn striped(n: usize, tilt: f64) -> Problem {
-        let rates: Vec<f64> = (0..n)
-            .map(|i| (0.1 + (i % 13) as f64 * 0.4) * if i % 5 == 0 { tilt } else { 1.0 })
-            .collect();
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-        Problem::builder()
-            .change_rates(rates)
-            .access_weights(weights)
-            .bandwidth(n as f64 / 3.0)
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn repair_matches_full_resolve_after_local_drift() {
@@ -674,19 +649,24 @@ mod tests {
     }
 
     #[test]
-    fn repair_is_cheaper_than_full_resolve() {
+    fn repair_needs_no_more_passes_than_a_warm_resolve() {
+        // What the adaptive loop runs when it does not repair is a full
+        // solve warm-started from the previous multiplier; repair must not
+        // cost more full passes than that.
         let solver = LagrangeSolver::default();
         let before = striped(2000, 1.0);
         let previous = solver.solve(&before).unwrap();
         let after = striped(2000, 1.1);
         let touched: Vec<usize> = (0..2000).filter(|i| i % 5 == 0).collect();
         let repaired = solver.repair(&after, &previous, &touched).unwrap();
-        let full = solver.solve(&after).unwrap();
+        let warm = solver
+            .solve_warm(&after, previous.multiplier.unwrap())
+            .unwrap();
         assert!(
-            repaired.probes * 4 < full.iterations,
-            "repair probes {} should be well under full outer iters {}",
+            repaired.probes <= warm.iterations,
+            "repair probes {} vs warm re-solve passes {}",
             repaired.probes,
-            full.iterations
+            warm.iterations
         );
     }
 

@@ -22,8 +22,7 @@
 //! Fixing the weights, each node's subproblem is a *flat* freshening
 //! problem over its (link, element) entries — concave water-filling with
 //! per-entry interest `w_{l,i} = σ_{n,i}·a_{l,i}·Π_{l'≠l}(1 − a·F̄)` —
-//! which the existing [`LagrangeSolver`] solves exactly (and
-//! [`solve_sharded`](LagrangeSolver::solve_sharded) solves in parallel).
+//! which the existing [`LagrangeSolver`] solves exactly.
 //! The tiered solver is block-coordinate ascent over nodes in
 //! topological order: sweep, re-solve each block against refreshed
 //! weights, repeat until the schedule reaches a fixed point. For trees
@@ -48,12 +47,12 @@
 //! split optimum every tier's water level (marginal edge-PF per unit of
 //! bandwidth) is equal, otherwise moving bandwidth from the
 //! lowest-marginal tier to the highest would raise edge PF. So the
-//! outer search bisects one **shared price** `μ` over all tiers'
-//! entries at once — per-entry frequencies from the same closed-form
-//! root solve the flat bisection uses, total spend monotone decreasing
-//! in `μ` — until the total budget is met; each tier's budget is
-//! whatever it consumed at that shared level. Weights and budgets are
-//! alternated to a joint fixed point.
+//! outer search finds one **shared price** `μ` over all tiers' entries
+//! at once — per-entry frequencies from the flat solve's closed-form
+//! kernel, total spend monotone decreasing in `μ`, the level found by the
+//! flat solve's Newton root-finder — until the total budget is met; each
+//! tier's budget is whatever it consumed at that shared level. Weights
+//! and budgets are alternated to a joint fixed point.
 
 use freshen_core::audit::{AuditReport, SolutionAudit};
 use freshen_core::error::{CoreError, Result};
@@ -62,11 +61,16 @@ use freshen_core::policy::SyncPolicy;
 use freshen_core::problem::{Problem, Solution};
 use freshen_core::topology::{TieredSchedule, Topology};
 
-use crate::lagrange::{LagrangeSolver, STATIC_RATE};
+use crate::lagrange::{
+    blend_bracket_ends, sqrt_law_level, End, LagrangeSolver, Pass, WaterFill, STATIC_RATE,
+};
 
 /// Smallest share of the total budget a budget split hands any tier, so
 /// no tier is frozen out of the next weight-refresh round.
 const SPLIT_FLOOR: f64 = 1e-9;
+
+/// Relative tolerance of the shared-price search on the total spend.
+const SPLIT_TOL: f64 = 1e-12;
 
 /// Block-coordinate tiered solver over a relay [`Topology`].
 #[derive(Debug, Clone)]
@@ -79,10 +83,6 @@ pub struct TieredSolver {
     pub max_rounds: usize,
     /// Relative edge-PF improvement under which the ascent stops.
     pub pf_tol: f64,
-    /// Shard count for the per-tier inner solves: `<= 1` routes through
-    /// [`LagrangeSolver::solve`], otherwise
-    /// [`LagrangeSolver::solve_sharded`] with this many shards.
-    pub shards: usize,
 }
 
 impl Default for TieredSolver {
@@ -91,7 +91,6 @@ impl Default for TieredSolver {
             base: LagrangeSolver::default(),
             max_rounds: 24,
             pf_tol: 1e-12,
-            shards: 0,
         }
     }
 }
@@ -113,7 +112,7 @@ pub struct NodeSolve {
     pub multiplier: Option<f64>,
     /// Bandwidth the block solve consumed.
     pub spend: f64,
-    /// Outer bisection iterations of the block solve.
+    /// Allocation passes of the block solve's water-level search.
     pub iterations: usize,
 }
 
@@ -306,17 +305,6 @@ impl TieredSolver {
         builder.build().map(Some)
     }
 
-    /// One tier's inner flat solve — always cold (no warm start), so a
-    /// re-solve of an unchanged block reproduces its schedule bitwise
-    /// and the ascent can detect its fixed point exactly.
-    fn inner_solve(&self, synth: &Problem) -> Result<Solution> {
-        if self.shards > 1 {
-            self.base.solve_sharded(synth, self.shards)
-        } else {
-            self.base.solve(synth)
-        }
-    }
-
     /// Solve the tiered program against the topology's own per-node
     /// budgets. The problem's `bandwidth` field is ignored — budgets
     /// live on the topology.
@@ -384,7 +372,10 @@ impl TieredSolver {
                     });
                     continue;
                 };
-                let sol = self.inner_solve(&synth)?;
+                // Always cold (no warm start), so a re-solve of an
+                // unchanged block reproduces its schedule bitwise and the
+                // ascent can detect its fixed point exactly.
+                let sol = self.base.solve(&synth)?;
                 let old: Vec<f64> = entries[t]
                     .iter()
                     .map(|&(l, i)| schedule.link_freqs[l][i])
@@ -458,8 +449,8 @@ impl TieredSolver {
     /// tiers that can, and the candidate with the highest edge PF is
     /// returned. Its `budgets` is the discovered split: it sums to
     /// `total_budget`, no tier overdraws, and each tier spends its share
-    /// up to the bisection tolerance (an idle tier keeps only the split
-    /// floor, a `1e-9` share).
+    /// up to the solver's budget tolerance (an idle tier keeps only the
+    /// split floor, a `1e-9` share).
     pub fn solve_split(
         &self,
         topo: &Topology,
@@ -560,17 +551,21 @@ impl TieredSolver {
                 break;
             }
             for (b, &k) in budgets.iter_mut().zip(&kept).skip(1) {
-                *b = if *b == k { k * (1.0 + handed / spent_share) } else { k };
+                *b = if *b == k {
+                    k * (1.0 + handed / spent_share)
+                } else {
+                    k
+                };
             }
             sol = self.solve(&topo.with_budgets(&budgets)?, problem)?;
         }
         Ok(sol)
     }
 
-    /// Water-fill every tier's entries against one shared price: bisect
-    /// `μ` until the total spend meets `total_budget`, then read each
-    /// tier's budget off its spend at that level. Spend is monotone
-    /// decreasing in `μ`, exactly as in the flat outer bisection.
+    /// Water-fill every tier's entries against one shared price: find
+    /// the `μ` at which the total spend meets `total_budget` with the
+    /// flat solve's root-finder, then read each tier's budget off its
+    /// spend at that level.
     fn shared_price_split(
         &self,
         sol: &TieredSolution,
@@ -600,56 +595,36 @@ impl TieredSolver {
             budgets[0] = 0.0;
             return Ok(budgets);
         }
-        let spend_at = |mu: f64| -> (f64, Vec<f64>) {
-            let mut per_tier = vec![NeumaierSum::new(); n_tiers];
-            for &(w, lam, s, t) in &entries {
-                let (f, _) = solver.element_frequency_counted(w, lam, s, 1.0, mu);
-                per_tier[t].add(s * f);
-            }
-            let mut total = NeumaierSum::new();
-            let spends: Vec<f64> = per_tier
-                .into_iter()
-                .map(|acc| {
-                    let v = acc.total();
-                    total.add(v);
-                    v
-                })
-                .collect();
-            (total.total(), spends)
-        };
         let mu_limit = entries
             .iter()
             .map(|&(w, lam, s, _)| w / (lam * s))
             .fold(0.0f64, f64::max);
-        let mut mu_hi = mu_limit;
-        let mut mu_lo = mu_limit * 1e-6;
-        let mut spends;
-        // Expand the low side until the allocation overshoots.
-        loop {
-            let (total, s) = spend_at(mu_lo);
-            spends = s;
-            if total >= total_budget || mu_lo < mu_limit * 1e-300 {
-                break;
+        let start = sqrt_law_level(
+            entries.iter().map(|&(w, lam, s, _)| (w, lam, s)),
+            total_budget,
+            mu_limit,
+        );
+        let mut fill = TierFill {
+            solver: &solver,
+            entries: &entries,
+            spends: vec![0.0; n_tiers],
+            lo: vec![0.0; n_tiers],
+            hi: vec![0.0; n_tiers],
+        };
+        let level = solver.water_level(&mut fill, total_budget, SPLIT_TOL, mu_limit, start)?;
+        let spends = match level.straddle {
+            Some((used_lo, used_hi)) => {
+                let mut spends = vec![0.0; n_tiers];
+                blend_bracket_ends(
+                    &mut spends,
+                    (&fill.lo, used_lo),
+                    (&fill.hi, used_hi),
+                    total_budget,
+                );
+                spends
             }
-            mu_hi = mu_lo;
-            mu_lo *= 1e-3;
-        }
-        for _ in 0..solver.max_outer {
-            let mu = (mu_lo * mu_hi).sqrt();
-            let (total, s) = spend_at(mu);
-            if (total - total_budget).abs() <= total_budget * 1e-12
-                || mu_hi - mu_lo <= mu_hi * 1e-15
-            {
-                spends = s;
-                break;
-            }
-            if total > total_budget {
-                mu_lo = mu;
-            } else {
-                mu_hi = mu;
-            }
-            spends = s;
-        }
+            None => fill.spends,
+        };
         // Scale multiplicatively so the split sums to the total budget
         // exactly, with a relative floor so no tier is frozen out of
         // the next weight-refresh round.
@@ -741,6 +716,46 @@ impl TieredSolver {
     }
 }
 
+/// The shared-price split's [`WaterFill`]: a pass prices every tier's
+/// entries at one `μ` and records each tier's spend.
+struct TierFill<'a> {
+    solver: &'a LagrangeSolver,
+    /// `(weight, λ, s, tier)` per fundable entry.
+    entries: &'a [(f64, f64, f64, usize)],
+    spends: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+impl WaterFill for TierFill<'_> {
+    fn fill(&mut self, mu: f64) -> Pass {
+        let mut per_tier = vec![NeumaierSum::new(); self.spends.len()];
+        let mut slope = 0.0f64;
+        for &(w, lam, s, t) in self.entries {
+            let (f, elasticity) = self.solver.water_fill(w, lam, s, 1.0, mu);
+            per_tier[t].add(s * f);
+            slope += s * f * elasticity;
+        }
+        let mut total = NeumaierSum::new();
+        for (spend, acc) in self.spends.iter_mut().zip(per_tier) {
+            *spend = acc.total();
+            total.add(*spend);
+        }
+        Pass {
+            used: total.total(),
+            slope,
+            steps: 0,
+        }
+    }
+
+    fn keep(&mut self, end: End) {
+        match end {
+            End::Lo => self.lo.copy_from_slice(&self.spends),
+            End::Hi => self.hi.copy_from_slice(&self.spends),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -784,27 +799,6 @@ mod tests {
             tiered.nodes[0].spend.to_bits(),
             flat.bandwidth_used.to_bits()
         );
-    }
-
-    #[test]
-    fn single_tier_sharded_is_byte_identical_to_flat_sharded() {
-        let n = 900;
-        let problem = problem(n);
-        let topo = Topology::builder()
-            .source("origin")
-            .tier("edge", problem.bandwidth())
-            .link("origin", "edge")
-            .build(n)
-            .unwrap();
-        let flat = LagrangeSolver::default()
-            .solve_sharded(&problem, 8)
-            .unwrap();
-        let solver = TieredSolver {
-            shards: 8,
-            ..TieredSolver::default()
-        };
-        let tiered = solver.solve(&topo, &problem).unwrap();
-        assert_eq!(tiered.schedule.link_freqs[0], flat.frequencies);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! family, differential parity between independent solution methods, and
 //! the engine's poll-credit ledger under injected failures.
 
+use freshen::core::exec::Executor;
 use freshen::core::SyncPolicy;
 use freshen::engine::LivePollSource;
 use freshen::prelude::*;
@@ -60,31 +61,31 @@ fn lagrange_solutions_carry_a_clean_certificate() {
 }
 
 #[test]
-fn sharded_solves_match_global_and_pass_audit() {
-    let solver = LagrangeSolver::default();
+fn pool_solves_match_serial_and_pass_audit() {
     let problem = table2_problem(1.0, 7);
-    let global = solver.solve(&problem).unwrap();
-    for shards in [2, 4, 8] {
-        let sharded = solver.solve_sharded(&problem, shards).unwrap();
-        let report = SolutionAudit::default()
-            .check(&problem, &sharded, SyncPolicy::FixedOrder)
+    let serial = LagrangeSolver::default().solve(&problem).unwrap();
+    for workers in [2, 4, 8] {
+        let pooled = LagrangeSolver::default()
+            .with_executor(Executor::thread_pool(workers))
+            .solve(&problem)
             .unwrap();
-        assert_clean(&report, &format!("sharded K={shards}"));
-        assert!(
-            (sharded.perceived_freshness - global.perceived_freshness).abs() < 1e-9,
-            "shard count must not move the optimum: {} vs {}",
-            sharded.perceived_freshness,
-            global.perceived_freshness
+        let report = SolutionAudit::default()
+            .check(&problem, &pooled, SyncPolicy::FixedOrder)
+            .unwrap();
+        assert_clean(&report, &format!("pool workers={workers}"));
+        assert_eq!(
+            pooled.frequencies, serial.frequencies,
+            "worker count must not move the optimum (workers={workers})"
         );
     }
 }
 
 #[test]
-fn sharded_solves_stay_cost_aware_under_a_levy() {
-    // Differential pin of the sharded path against the global solve when
-    // a per-poll cost levy γ > 0 is active: the cost column must shape
-    // the sharded allocation exactly as it shapes the global one, and
-    // the cost-adjusted certificate must hold shard-count-independently.
+fn pool_solves_stay_cost_aware_under_a_levy() {
+    // Differential pin of the pooled solve against the serial one when a
+    // per-poll cost levy γ > 0 is active: the cost column must shape the
+    // pooled allocation exactly as it shapes the serial one, and the
+    // cost-adjusted certificate must hold at any worker count.
     let base = table2_problem(1.0, 7);
     let n = base.len();
     let costed = Problem::builder()
@@ -99,33 +100,29 @@ fn sharded_solves_stay_cost_aware_under_a_levy() {
         cost_weight: gamma,
         ..Default::default()
     };
-    let global = solver.solve(&costed).unwrap();
+    let serial = solver.solve(&costed).unwrap();
+    let blind = LagrangeSolver::default().solve(&costed).unwrap();
+    assert!(
+        costed.cost_used(&serial.frequencies) < costed.cost_used(&blind.frequencies),
+        "the levy must reshape the costed optimum for the pin to mean anything"
+    );
     let audit = SolutionAudit::default();
-    for shards in [2, 4, 8] {
-        let sharded = solver.solve_sharded(&costed, shards).unwrap();
-        assert_eq!(
-            sharded.cost_multiplier,
-            Some(gamma),
-            "K={shards}: the levy must survive the sharded path"
-        );
-        assert!(
-            (sharded.perceived_freshness - global.perceived_freshness).abs() < 1e-9,
-            "K={shards}: costed PF moved: {} vs {}",
-            sharded.perceived_freshness,
-            global.perceived_freshness
-        );
-        let (global_cost, sharded_cost) = (
-            costed.cost_used(&global.frequencies),
-            costed.cost_used(&sharded.frequencies),
-        );
-        assert!(
-            (sharded_cost - global_cost).abs() < 1e-6 * global_cost.max(1.0),
-            "K={shards}: cost spend diverged: {sharded_cost} vs {global_cost}"
-        );
-        let report = audit
-            .check_with_cost(&costed, &sharded, SyncPolicy::FixedOrder, gamma)
+    for workers in [2, 4, 8] {
+        let pooled = solver
+            .clone()
+            .with_executor(Executor::thread_pool(workers))
+            .solve(&costed)
             .unwrap();
-        assert_clean(&report, &format!("costed sharded K={shards}"));
+        assert_eq!(
+            pooled.cost_multiplier,
+            Some(gamma),
+            "workers={workers}: the levy must survive the pooled path"
+        );
+        assert_eq!(pooled.frequencies, serial.frequencies, "workers={workers}");
+        let report = audit
+            .check_with_cost(&costed, &pooled, SyncPolicy::FixedOrder, gamma)
+            .unwrap();
+        assert_clean(&report, &format!("costed pool workers={workers}"));
     }
 }
 
@@ -280,7 +277,7 @@ fn cli_audit_subcommand_certifies_scenarios_end_to_end() {
         (result, String::from_utf8(buf).unwrap())
     };
     // Table-1-scale scenario through every audited solver family.
-    for extra in [&[][..], &["--shards", "4"][..], &["--solver", "pg"][..]] {
+    for extra in [&[][..], &["--threads", "4"][..], &["--solver", "pg"][..]] {
         let mut argv = vec![
             "audit",
             "--objects",

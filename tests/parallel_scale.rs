@@ -1,7 +1,7 @@
-//! Acceptance test for the sharded parallel execution layer: at N = 10⁵
-//! the two-level sharded solve plus parallel PF evaluation must match the
-//! serial global optimum to 1e-6, and — when the machine actually has the
-//! cores — finish at least 2× faster on a 4-worker pool.
+//! Acceptance test for the parallel execution layer: at N = 10⁵ the
+//! pooled solve plus parallel PF evaluation must match the serial optimum
+//! to 1e-6, and — when the machine actually has the cores — finish at
+//! least 2× faster on a 4-worker pool.
 //!
 //! PF parity is asserted unconditionally; the speedup assertion is gated
 //! on `std::thread::available_parallelism()` ≥ 4 because on a smaller box
@@ -13,7 +13,6 @@ use freshen::core::exec::Executor;
 use freshen::prelude::*;
 
 const N: usize = 100_000;
-const SHARDS: usize = 32;
 const THREADS: usize = 4;
 
 /// Same deterministic mirror family as `exp_scale`: striped rates,
@@ -32,7 +31,7 @@ fn scale_problem(n: usize) -> Problem {
 }
 
 #[test]
-fn sharded_parallel_solve_matches_serial_and_scales() {
+fn pool_parallel_solve_matches_serial_and_scales() {
     let problem = scale_problem(N);
 
     // Serial baseline: global solve + serial evaluation. Best-of-two so a
@@ -54,19 +53,17 @@ fn sharded_parallel_solve_matches_serial_and_scales() {
     let mut pool_pf = 0.0;
     for _ in 0..2 {
         let start = Instant::now();
-        let solution = solver
-            .solve_sharded(&problem, SHARDS)
-            .expect("sharded solve");
+        let solution = solver.solve(&problem).expect("pooled solve");
         let pf = problem.perceived_freshness_exec(&solution.frequencies, &executor);
         pool_wall = pool_wall.min(start.elapsed().as_secs_f64());
         pool_pf = pf;
     }
 
-    // Shard equivalence: the sharded optimum recovers the global PF.
+    // Pool equivalence: the pooled optimum recovers the serial PF.
     let parity = (pool_pf - serial_pf).abs();
     assert!(
         parity < 1e-6,
-        "sharded PF {pool_pf} vs serial {serial_pf} (parity {parity:.3e})"
+        "pooled PF {pool_pf} vs serial {serial_pf} (parity {parity:.3e})"
     );
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -493,7 +493,7 @@ fn solver_survives_wild_magnitudes() {
 
 #[test]
 fn exact_solutions_pass_the_kkt_audit() {
-    // The bisection's own stopping tolerance bounds how tightly random
+    // The solver's own stopping tolerance bounds how tightly random
     // problems equalize marginals, so the property uses a 1e-3 spread
     // (matching `solver_kkt_equalized_marginals`); the strict 1e-6
     // profile is pinned on deterministic problems below.
@@ -707,37 +707,6 @@ fn pool_runs_are_deterministic() {
     check(64, SEED, |rng| {
         let problem = gen_problem(rng, true);
         pool_determinism_case(&problem, 2 + rng.below(3));
-    });
-}
-
-/// Two-level equivalence: every shard shares the global multiplier at
-/// the optimum, so any shard count recovers the global PF.
-fn sharded_case(problem: &Problem, shards: usize) {
-    let global = LagrangeSolver::default().solve(problem).unwrap();
-    let sharded = LagrangeSolver::default()
-        .with_executor(Executor::thread_pool(4))
-        .solve_sharded(problem, shards)
-        .unwrap();
-    assert!(
-        (global.perceived_freshness - sharded.perceived_freshness).abs() < 1e-6,
-        "n={} shards={shards}: global {} vs sharded {}",
-        problem.len(),
-        global.perceived_freshness,
-        sharded.perceived_freshness
-    );
-    assert!(problem.is_feasible(&sharded.frequencies, 1e-6));
-}
-
-#[test]
-fn sharded_solve_matches_global() {
-    for n in [17usize, 120, 999] {
-        for shards in [1usize, 4, 32] {
-            sharded_case(&fixed_problem(n), shards);
-        }
-    }
-    check(64, SEED, |rng| {
-        let problem = gen_problem(rng, true);
-        sharded_case(&problem, 1 + rng.below(8));
     });
 }
 
