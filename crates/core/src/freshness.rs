@@ -135,8 +135,8 @@ pub fn phi_series(x: f64) -> f64 {
 /// `f`), falling from `1/λ` as `f → 0⁺` toward `0` as `f → ∞`. The exact
 /// Lagrange solver in `freshen-solver` equalizes `pᵢ·g(fᵢ; λᵢ)` across all
 /// elements receiving bandwidth (the paper's Appendix, Eq. 5). Computed
-/// through [`phi`], so the solver's kernel, the KKT audit and repair's
-/// warm Newton all read the same marginal value.
+/// through [`phi`], so the solver's kernel and the KKT audit read the
+/// same marginal value.
 ///
 /// ```
 /// use freshen_core::freshness::freshness_gradient;

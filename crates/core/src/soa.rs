@@ -124,20 +124,6 @@ impl PackedColumns {
         }
     }
 
-    /// Gather `ids` out of `problem`, seeding the frequency column from a
-    /// full-length `seed` vector (`f[k] = seed[ids[k]]`) — the warm-start
-    /// layout incremental repair begins from.
-    ///
-    /// # Panics
-    /// Panics when any id is out of bounds for `problem` or `seed`.
-    pub fn gather_seeded(problem: &Problem, ids: &[usize], seed: &[f64]) -> PackedColumns {
-        let mut packed = Self::gather(problem, ids);
-        for (f, &i) in packed.f.iter_mut().zip(ids) {
-            *f = seed[i];
-        }
-        packed
-    }
-
     /// Number of packed elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -222,8 +208,7 @@ impl PackedColumns {
     /// Borrow the read-only columns together with the mutable frequency
     /// column in one call. Hot loops that refine `f` in place while
     /// reading `p`/`λ`/`s` need all four simultaneously; the split
-    /// borrow avoids cloning three `f64` columns per pass (1.9 GB of
-    /// copies over a typical repair at `N = 10⁷`).
+    /// borrow avoids cloning the read-only columns on every pass.
     pub fn parts_mut(&mut self) -> (ColumnsRef<'_>, &mut [f64]) {
         (
             ColumnsRef {
@@ -298,14 +283,6 @@ mod tests {
         assert_eq!(packed.lambda(), &[3.0, 1.0, 4.0]);
         assert_eq!(packed.s(), &[0.5, 1.0, 4.0]);
         assert_eq!(packed.f(), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn gather_seeded_pulls_previous_frequencies() {
-        let p = toy();
-        let seed = [10.0, 20.0, 30.0, 40.0];
-        let packed = PackedColumns::gather_seeded(&p, &[3, 1], &seed);
-        assert_eq!(packed.f(), &[40.0, 20.0]);
     }
 
     #[test]

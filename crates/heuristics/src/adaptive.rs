@@ -156,10 +156,11 @@ impl DriftMonitor {
     /// second-order wobble that renormalization induces. The cut at
     /// `2×mean` therefore isolates the movers without a tuning knob.
     ///
-    /// Used to *seed* incremental KKT repair
-    /// ([`LagrangeSolver::repair`]); repair's correctness never depends
-    /// on this set being exact, so a fuzzy classification only costs a
-    /// few extra inner iterations.
+    /// Its size gates incremental KKT repair
+    /// ([`AdaptiveScheduler::with_repair_fraction`]), which receives the
+    /// set ([`LagrangeSolver::repair`]). The repaired optimum never
+    /// depends on the set being exact: a fuzzy classification can only
+    /// open or close the gate.
     pub fn touched(&self, current: &Problem) -> Result<Vec<usize>> {
         let contributions = self.drift_contributions(current)?;
         let n = contributions.len();
@@ -280,12 +281,12 @@ impl AdaptiveScheduler {
 
     /// Enable incremental KKT repair (builder form): when a re-solve
     /// fires and the drift monitor attributes the drift to at most
-    /// `fraction` of the elements, patch the previous optimum with
-    /// [`LagrangeSolver::repair`] instead of running the full warm
-    /// re-solve, then certify the patched solution with the strict
-    /// [`SolutionAudit`] ("repair then certify"). A failed repair or a
-    /// failed certificate falls back to the full warm re-solve and is
-    /// counted in [`repair_fallbacks`](Self::repair_fallbacks).
+    /// `fraction` of the elements, re-solve through
+    /// [`LagrangeSolver::repair`] and certify the repaired solution with
+    /// the strict [`SolutionAudit`] ("repair then certify"). A failed
+    /// repair or a failed certificate falls back to the full warm
+    /// re-solve and is counted in
+    /// [`repair_fallbacks`](Self::repair_fallbacks).
     ///
     /// `0.0` (the default) disables repair; values are clamped to
     /// `[0.0, 1.0]`; non-finite values disable.
@@ -718,7 +719,7 @@ mod tests {
         );
         // The heavy movers are flagged. (Renormalization also lets a few
         // heavy *non*-movers into the set — harmless: the touched set only
-        // seeds repair, it never gates correctness.)
+        // gates repair, it never decides the optimum.)
         let movers = touched.iter().filter(|&&i| i % 50 == 0).count();
         assert!(movers > 0, "at least the heavy movers must be flagged");
         assert!(monitor.touched(&p).unwrap().is_empty(), "no drift, no set");

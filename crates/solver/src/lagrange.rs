@@ -73,7 +73,7 @@ const HALLEY_STEPS: usize = 2;
 /// one such element poisons the aggregate slope and freezes Newton into
 /// micro-steps. Ordinary elements have elasticity O(1) (½ on the
 /// `f ≫ λ` side of the locus) and are untouched.
-pub(crate) const MAX_ELASTICITY: f64 = 1e3;
+const MAX_ELASTICITY: f64 = 1e3;
 
 /// Write into `f` the convex combination of the allocations measured at
 /// the two ends of an exhausted multiplier bracket, `(allocation, spend)`
@@ -101,10 +101,6 @@ pub struct LagrangeSolver {
     pub budget_tol: f64,
     /// Maximum allocation passes of the water-level search.
     pub max_outer: usize,
-    /// Maximum Newton iterations per element in [`repair`](Self::repair)'s
-    /// warm per-element solves. The full solve's kernel takes a fixed
-    /// number of Halley steps and ignores it.
-    pub max_inner: usize,
     /// Synchronization policy whose freshness law is optimized (the paper
     /// uses Fixed Order; Poisson is provided for the policy ablation).
     pub policy: SyncPolicy,
@@ -129,7 +125,6 @@ impl Default for LagrangeSolver {
         LagrangeSolver {
             budget_tol: 1e-10,
             max_outer: 200,
-            max_inner: 100,
             policy: SyncPolicy::FixedOrder,
             recorder: Recorder::disabled(),
             executor: Executor::serial(),
@@ -692,20 +687,6 @@ impl LagrangeSolver {
         self.water_fill(p, lam, s, c, mu).0
     }
 
-    /// [`water_fill`](Self::water_fill)'s frequency plus the kernel steps
-    /// it took, for repair's per-element reseeds.
-    pub(crate) fn element_frequency_counted(
-        &self,
-        p: f64,
-        lam: f64,
-        s: f64,
-        c: f64,
-        mu: f64,
-    ) -> (f64, usize) {
-        let (f, _) = self.water_fill(p, lam, s, c, mu);
-        (f, if f > 0.0 { self.kernel_steps() } else { 0 })
-    }
-
     /// The closed-form water-filling kernel: element `(p, λ, s, c)`'s
     /// optimal frequency at water level `μ`, and its elasticity
     /// `E = −d ln f/d ln μ` capped at [`MAX_ELASTICITY`] (both 0 when the
@@ -751,7 +732,7 @@ impl LagrangeSolver {
 /// snap of a converged solve's tiny residual. Evaluated as
 /// `f + f·(B − used)/used`, where `B − used` is exact, so each element
 /// takes one rounding instead of the two of `f·(B/used)`.
-pub(crate) fn snap_to_budget(f: &mut [f64], used: f64, budget: f64) {
+fn snap_to_budget(f: &mut [f64], used: f64, budget: f64) {
     if used > 0.0 {
         let correction = (budget - used) / used;
         for f in f {

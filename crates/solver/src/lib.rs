@@ -12,11 +12,11 @@
 //!   closed form (a fixed number of Halley steps). Runs in `O(N)` per
 //!   pass and reproduces the paper's Table 1 to two decimals.
 //! * [`repair`] — **incremental KKT repair**: when drift touched only a
-//!   small subset of elements, re-water-fill from the previous optimum and
-//!   patch the multiplier by safeguarded Newton on the budget residual
-//!   (3–5 probes) instead of re-running the full search. Always
-//!   paired with the strict [`SolutionAudit`](freshen_core::SolutionAudit)
-//!   certificate ("repair then certify").
+//!   small subset of elements, re-solve warm-started from the previous
+//!   optimum's water level on the same kernel and root-finder, once the
+//!   previous solution is checked to seed it. Always paired with the
+//!   strict [`SolutionAudit`](freshen_core::SolutionAudit) certificate
+//!   ("repair then certify").
 //! * [`projected_gradient`] — a *generic* non-linear-programming solver
 //!   (projected gradient ascent on the weighted simplex). This stands in
 //!   for the proprietary IMSL library the authors used and exists to

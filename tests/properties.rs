@@ -625,12 +625,38 @@ fn pool_solver_case(problem: &Problem, workers: usize) {
     );
 }
 
+/// Incremental repair on a pool must reproduce the serial repair exactly.
+fn pool_repair_case(problem: &Problem, workers: usize) {
+    let previous = LagrangeSolver::default().solve(problem).unwrap();
+    let (after, touched) = tilt_rates(problem, 97, 1.6);
+    let serial = LagrangeSolver::default()
+        .repair(&after, &previous, &touched)
+        .unwrap();
+    let pooled = LagrangeSolver::default()
+        .with_executor(Executor::thread_pool(workers))
+        .repair(&after, &previous, &touched)
+        .unwrap();
+    assert_eq!(
+        serial.solution.frequencies,
+        pooled.solution.frequencies,
+        "n={} workers={workers}: pool repair must be identical",
+        problem.len()
+    );
+    assert_eq!(serial.solution.multiplier, pooled.solution.multiplier);
+    assert_eq!(serial.probes, pooled.probes);
+}
+
 #[test]
 fn pool_solver_matches_serial() {
     for n in [3usize, 17, 120, 999] {
         for workers in [2usize, 4] {
             pool_solver_case(&fixed_problem(n), workers);
         }
+    }
+    // More elements than one chunk (`DEFAULT_CHUNK`), so passes split.
+    let large = fixed_problem(20_000);
+    for workers in [1usize, 2, 4] {
+        pool_repair_case(&large, workers);
     }
     check(64, SEED, |rng| {
         let problem = gen_problem(rng, true);
