@@ -1312,6 +1312,113 @@ mod tests {
         assert_ne!(first, run(&args("6")), "seed changes failure injection");
     }
 
+    /// What `cmd` prints for `args`.
+    fn output(cmd: fn(&ParsedArgs, &mut dyn Write) -> Result<(), String>, args: &[&str]) -> String {
+        let mut buf = Vec::new();
+        cmd(&parsed(args), &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn write_live_problem(path: &std::path::Path) {
+        let args = [
+            "--objects",
+            "6",
+            "--updates",
+            "12",
+            "--syncs",
+            "3",
+            "--seed",
+            "4",
+        ];
+        std::fs::write(path, output(cmd_scenario, &args)).unwrap();
+    }
+
+    #[test]
+    fn serve_prints_the_report_engine_prints() {
+        let dir = tmpdir();
+        let problem = dir.join("serve_engine.json");
+        write_live_problem(&problem);
+        let checkpoint = dir.join("serve_engine.snap");
+        let live = [
+            "--live",
+            problem.to_str().unwrap(),
+            "--epochs",
+            "12",
+            "--seed",
+            "3",
+        ];
+        let engine = output(cmd_engine, &live);
+        assert!(engine.contains("\"realized_pf\""), "{engine}");
+        let serve = [&live[..], &["--checkpoint", checkpoint.to_str().unwrap()]].concat();
+        assert_eq!(output(cmd_serve, &serve), engine);
+    }
+
+    #[test]
+    fn serve_drained_and_resumed_prints_the_uninterrupted_report() {
+        let dir = tmpdir();
+        let problem = dir.join("serve_resume.json");
+        write_live_problem(&problem);
+        let checkpoint = dir.join("serve_resume.snap");
+        let checkpoint = checkpoint.to_str().unwrap();
+        let args = [
+            "--live",
+            problem.to_str().unwrap(),
+            "--epochs",
+            "12",
+            "--seed",
+            "3",
+            "--checkpoint",
+            checkpoint,
+        ];
+        let full = output(cmd_serve, &args);
+        let drained = output(cmd_serve, &[&args[..], &["--drain-after", "5"]].concat());
+        assert!(drained.starts_with("drained after 5 epoch(s)"), "{drained}");
+        let resumed = output(cmd_serve, &[&args[..], &["--resume", checkpoint]].concat());
+        assert_eq!(resumed, full);
+    }
+
+    #[test]
+    fn fleet_drained_and_resumed_prints_the_uninterrupted_reports() {
+        let dir = tmpdir();
+        let spec = dir.join("fleet_resume.json");
+        std::fs::write(
+            &spec,
+            r#"{"checkpoint_every": 2, "tenants": [
+                {"id": "acme", "objects": 6, "seed": 7, "epochs": 10},
+                {"id": "bolt", "objects": 5, "seed": 11, "epochs": 8, "scenario": "flash-crowd"}
+            ]}"#,
+        )
+        .unwrap();
+        let spec = spec.to_str().unwrap();
+        let full_dir = dir.join("fleet-full");
+        let resume_dir = dir.join("fleet-resume");
+        let (full_dir, resume_dir) = (full_dir.to_str().unwrap(), resume_dir.to_str().unwrap());
+        let full = output(cmd_fleet, &["--spec", spec, "--snapshot-dir", full_dir]);
+        assert!(
+            full.contains("\"acme\": {") && full.contains("\"bolt\": {"),
+            "{full}"
+        );
+        let drain = [
+            "--spec",
+            spec,
+            "--snapshot-dir",
+            resume_dir,
+            "--drain-after",
+            "5",
+        ];
+        let drained = output(cmd_fleet, &drain);
+        assert!(drained.starts_with("drained after 5 round(s)"), "{drained}");
+        let resume = [
+            "--spec",
+            spec,
+            "--snapshot-dir",
+            resume_dir,
+            "--resume-dir",
+            resume_dir,
+        ];
+        assert_eq!(output(cmd_fleet, &resume), full);
+    }
+
     #[test]
     fn engine_writes_report_and_metrics_files() {
         let dir = tmpdir();

@@ -25,12 +25,16 @@
 //! 1. **The spec** ([`spec`], read with [`freshen_core::json`]) —
 //!    declares tenants, workload generators (baseline Zipf or the named
 //!    stress scenarios), budgets, seeds, and the checkpoint cadence.
-//! 2. **Fleet snapshots** ([`manifest`]) — a directory of per-tenant v2
-//!    snapshots plus a CRC-checked manifest, written atomically and
-//!    last, so a fleet killed at any round boundary resumes cleanly.
-//! 3. **The runtime** ([`runtime`]) — the round loop, the quarantine
-//!    path for tenants whose snapshots fail validation on resume, and
-//!    the route table.
+//! 2. **Fleet snapshots** ([`manifest`]) — a directory of per-tenant
+//!    serve snapshots plus a CRC-checked manifest, written atomically
+//!    and last, so a fleet killed at any round boundary resumes cleanly.
+//! 3. **The runtime** ([`runtime`]) — no loop of its own: it drives one
+//!    serve [`Tenant`](freshen_serve::Tenant) per spec entry through
+//!    serve's one drive loop ([`drive`](freshen_serve::drive)), and
+//!    keeps what is fleet-specific — the manifest after each checkpoint
+//!    round, the quarantine path for tenants whose snapshots fail
+//!    validation on resume, the roster and aggregate views, and the
+//!    route table.
 //!
 //! The determinism-per-tenant invariant holds fleet-wide: each engine
 //! is a pure function of its own seeded inputs, so interleaving tenants

@@ -1,41 +1,40 @@
-//! The fleet runtime: N independent tenant engines stepped in
-//! deterministic round-robin rounds behind one control plane.
+//! The fleet runtime: N independent tenants stepped by serve's one drive
+//! loop ([`drive`]) behind one control plane.
 //!
-//! Each tenant is a private [`Engine`] with its own problem, budget,
-//! seed, SLO rules, recorder, and snapshot file — exactly the state a
-//! solo `freshen serve` run would hold. One fleet *round* steps every
-//! unfinished tenant one epoch, in spec order; because each engine is a
+//! Each tenant is a serve [`Tenant`] with its own problem, budget, seed,
+//! SLO rules, recorder, and snapshot file — exactly the unit a solo
+//! `freshen serve` run drives. One fleet *round* steps every unfinished
+//! tenant one epoch, in spec order; because each engine is a
 //! deterministic pure function of its own inputs (regardless of the
 //! shared executor's worker count), interleaving tenants cannot change
 //! any tenant's trajectory, and every tenant's final report is
 //! byte-identical to its same-seed solo run.
 //!
-//! Checkpoints happen only at round boundaries: every non-quarantined
-//! tenant's v2 snapshot is written, then the CRC-checked
-//! [`Manifest`] is written atomically last, so
-//! a fleet killed at any boundary resumes to byte-identical reports. On
-//! resume, a tenant whose snapshot fails the manifest CRC or snapshot
-//! validation is *quarantined* — counted on `fleet.quarantined`,
-//! journaled as a `fleet.quarantine` alert, and left unstepped — while
+//! The fleet keeps only what is fleet-specific, as the loop's [`Host`]:
+//! the roster and aggregate views, the fleet routes, and the CRC-checked
+//! [`Manifest`], written atomically after the tenant snapshots of every
+//! checkpoint round. A fleet killed at any round boundary resumes to
+//! byte-identical reports. On resume, a tenant whose snapshot fails the
+//! manifest CRC or snapshot validation is *quarantined* — counted on
+//! `fleet.quarantined`, journaled as a `fleet.quarantine` alert, never
+//! stepped or checkpointed, but still routed and on the roster — while
 //! healthy tenants resume normally.
 
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use freshen_core::error::{CoreError, Result};
 use freshen_core::exec::Executor;
-use freshen_core::problem::Problem;
-use freshen_engine::stream::BoxedAccessStream;
-use freshen_engine::{Engine, EngineReport, LiveAccessStream, LivePollSource};
-use freshen_obs::{duration_us_buckets, prometheus, Health, Recorder};
-use freshen_serve::snapshot::{crc32, write_atomic, SourceState};
+use freshen_engine::EngineReport;
+use freshen_obs::{prometheus, Counter, Health, Recorder};
+use freshen_serve::snapshot::crc32;
 use freshen_serve::{
-    metrics_response, publish_engine_views, register_control_routes, ControlPlane, ControlShared,
-    ExitReason, Request, Response, Router, Snapshot, SnapshotShape, ACCESS_SEED_SALT,
-    POLL_SEED_SALT,
+    bind_control_plane, drive, metrics_response, publish, register_control_routes,
+    register_shutdown_route, register_status_routes, ControlPlane, ControlShared, ExitReason, Host,
+    Request, Response, Router, Snapshot, Tenant,
 };
 
 use crate::manifest::{Manifest, ManifestEntry};
@@ -124,43 +123,6 @@ impl FleetOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TenantState {
-    Running,
-    Completed,
-    Quarantined,
-}
-
-struct Tenant {
-    spec: TenantSpec,
-    problem: Problem,
-    engine: Engine,
-    accesses: std::iter::Peekable<BoxedAccessStream>,
-    source: LivePollSource,
-    consumed: u64,
-    recorder: Recorder,
-    shared: Arc<ControlShared>,
-    state: TenantState,
-    checkpoints: usize,
-    manifest_entry: Option<ManifestEntry>,
-}
-
-impl Tenant {
-    fn state_str(&self) -> &'static str {
-        match self.state {
-            TenantState::Quarantined => "quarantined",
-            TenantState::Completed => "completed",
-            TenantState::Running => {
-                if self.engine.epoch() >= self.spec.epochs {
-                    "completed"
-                } else {
-                    "running"
-                }
-            }
-        }
-    }
-}
-
 /// A configured, bound (but not yet running) fleet.
 pub struct Fleet {
     spec: FleetSpec,
@@ -191,12 +153,7 @@ impl Fleet {
                 config.snapshot_dir.display()
             ))
         })?;
-        let listener = match &config.listen {
-            Some(addr) => Some(TcpListener::bind(addr).map_err(|e| {
-                CoreError::InvalidConfig(format!("cannot bind control plane on `{addr}`: {e}"))
-            })?),
-            None => None,
-        };
+        let listener = bind_control_plane(config.listen.as_deref())?;
         Ok(Fleet {
             spec,
             config,
@@ -234,457 +191,287 @@ impl Fleet {
         Arc::clone(&self.shared)
     }
 
-    fn build_tenant(&self, spec: &TenantSpec) -> Result<Tenant> {
-        let cfg = spec.engine_config();
-        let problem = spec.problem()?;
-        let horizon = cfg.horizon();
-        let accesses: BoxedAccessStream = Box::new(LiveAccessStream::new(
-            problem.access_probs(),
-            spec.access_rate,
-            cfg.seed ^ ACCESS_SEED_SALT,
-            horizon,
-        ));
-        let source =
-            LivePollSource::new(problem.change_rates(), cfg.seed ^ POLL_SEED_SALT, horizon)?;
-        let recorder = if self.recorder.is_enabled() {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
-        };
-        let engine = Engine::new(&problem, cfg)?
-            .with_recorder(recorder.clone())
-            .with_executor(self.executor.clone());
-        Ok(Tenant {
-            spec: spec.clone(),
-            problem,
-            engine,
-            accesses: accesses.peekable(),
-            source,
-            consumed: 0,
-            recorder,
-            shared: Arc::new(ControlShared::default()),
-            state: TenantState::Running,
-            checkpoints: 0,
-            manifest_entry: None,
-        })
-    }
-
-    /// Resume one tenant from the manifest + its snapshot file, or
-    /// return the reason it cannot be trusted.
-    fn resume_tenant(
-        dir: &std::path::Path,
-        manifest: &Manifest,
-        tenant: &mut Tenant,
-    ) -> Result<()> {
-        let id = &tenant.spec.id;
-        let entry = manifest.entry(id).ok_or_else(|| {
-            CoreError::InvalidConfig(format!("tenant `{id}` missing from manifest"))
-        })?;
-        let expected_file = tenant.spec.snapshot_file();
-        if entry.file != expected_file {
-            return Err(CoreError::InvalidConfig(format!(
-                "manifest names `{}` for tenant `{id}` (want `{expected_file}`)",
-                entry.file
-            )));
-        }
-        let path = dir.join(&entry.file);
-        let bytes = std::fs::read(&path).map_err(|e| {
-            CoreError::InvalidConfig(format!("cannot read snapshot {}: {e}", path.display()))
-        })?;
-        if crc32(&bytes) != entry.crc {
-            return Err(CoreError::InvalidConfig(format!(
-                "snapshot {} does not match the manifest CRC",
-                path.display()
-            )));
-        }
-        let snapshot = Snapshot::decode(&bytes)?;
-        let cfg = tenant.spec.engine_config();
-        snapshot.shape.matches(&cfg, tenant.problem.len())?;
-        tenant.engine.restore_state(snapshot.engine)?;
-        let SourceState::Live(state) = snapshot.source else {
-            return Err(CoreError::InvalidConfig(
-                "fleet tenants are live workloads but the snapshot holds a replay source".into(),
-            ));
-        };
-        tenant.source = LivePollSource::restore(
-            tenant.problem.change_rates(),
-            cfg.seed ^ POLL_SEED_SALT,
-            cfg.horizon(),
-            &state,
-        )?;
-        for _ in 0..snapshot.accesses_consumed {
-            match tenant.accesses.next() {
-                Some(Ok(_)) => {}
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(CoreError::Inconsistent {
-                        routine: "fleet-resume",
-                        invariant: "snapshot consumed more accesses than the stream holds",
-                    })
-                }
-            }
-        }
-        tenant.consumed = snapshot.accesses_consumed;
-        tenant.manifest_entry = Some(entry.clone());
-        tenant.recorder.counter("serve.resumes").inc();
-        Ok(())
-    }
-
-    /// Run to completion or graceful drain. Consumes the fleet; the
+    /// Run to completion or graceful drain: [`drive`] one serve tenant
+    /// per spec entry that is not quarantined. Consumes the fleet; the
     /// control plane (if any) is stopped before returning.
     pub fn run(mut self) -> Result<FleetOutcome> {
-        let mut tenants: Vec<Tenant> = Vec::with_capacity(self.spec.tenants.len());
+        let listener = self.listener.take();
+        let quarantined = self.recorder.counter("fleet.quarantined");
+        let resume = match &self.config.resume_dir {
+            Some(dir) => Some((dir, Manifest::read(&dir.join(MANIFEST_FILE))?)),
+            None => None,
+        };
+        let mut host = FleetHost {
+            fleet: &self,
+            slots: Vec::with_capacity(self.spec.tenants.len()),
+            written: 0,
+            round_counter: self.recorder.counter("fleet.rounds"),
+            checkpoint_counter: self.recorder.counter("fleet.checkpoints"),
+            round: resume.as_ref().map_or(0, |(_, manifest)| manifest.round),
+            roster: Arc::default(),
+        };
+        let mut tenants = Vec::with_capacity(self.spec.tenants.len());
         for spec in &self.spec.tenants {
-            tenants.push(self.build_tenant(spec)?);
-        }
-
-        let quarantine_counter = self.recorder.counter("fleet.quarantined");
-        let mut round: u64 = 0;
-        if let Some(dir) = self.config.resume_dir.clone() {
-            let manifest = Manifest::read(&dir.join(MANIFEST_FILE))?;
-            round = manifest.round;
-            for tenant in &mut tenants {
-                if let Err(err) = Fleet::resume_tenant(&dir, &manifest, tenant) {
-                    tenant.state = TenantState::Quarantined;
-                    quarantine_counter.inc();
-                    let reason = err.to_string();
-                    self.recorder.event(
-                        "fleet.quarantine",
-                        &[("tenant", &tenant.spec.id), ("reason", &reason)],
-                    );
+            let mut slot = Slot {
+                spec,
+                shared: Arc::default(),
+                recorder: if self.recorder.is_enabled() {
+                    Recorder::enabled()
+                } else {
+                    Recorder::disabled()
+                },
+                tenant: Some(tenants.len()),
+                entry: None,
+            };
+            let mut tenant = Tenant::new(
+                &spec.workload()?,
+                spec.engine_config(),
+                slot.recorder.clone(),
+                self.executor.clone(),
+                Arc::clone(&slot.shared),
+                self.config.snapshot_dir.join(spec.snapshot_file()),
+            )?;
+            if let Some((dir, manifest)) = &resume {
+                match resume_tenant(dir, manifest, spec, &mut tenant) {
+                    Ok(entry) => slot.entry = Some(entry),
+                    Err(err) => {
+                        quarantined.inc();
+                        let reason = err.to_string();
+                        self.recorder.event(
+                            "fleet.quarantine",
+                            &[("tenant", &spec.id), ("reason", &reason)],
+                        );
+                        slot.tenant = None;
+                    }
                 }
             }
+            if slot.tenant.is_some() {
+                tenants.push(tenant);
+            }
+            host.slots.push(slot);
         }
 
         // Views + router before the first step so probes that land early
         // see coherent state.
-        let summaries: Arc<Mutex<std::collections::BTreeMap<String, String>>> =
-            Arc::new(Mutex::new(Default::default()));
-        let tenants_view: Arc<Mutex<String>> = Arc::new(Mutex::new(String::new()));
-        self.update_views(&tenants, round, 0, "running", &summaries, &tenants_view);
-
-        let plane = match self.listener.take() {
-            Some(listener) => {
-                let router = self.build_router(&tenants, &summaries, &tenants_view);
-                Some(
-                    ControlPlane::start_router(listener, router, self.recorder.clone())
-                        .map_err(|e| CoreError::InvalidConfig(format!("control plane: {e}")))?,
-                )
-            }
-            None => None,
-        };
+        let round = host.round;
+        publish(&tenants, &mut host, round, "running")?;
+        let plane = listener
+            .map(|l| ControlPlane::start_router(l, host.router(), self.recorder.clone()))
+            .transpose()
+            .map_err(|e| CoreError::InvalidConfig(format!("control plane: {e}")))?;
         let bound_addr = plane.as_ref().map(ControlPlane::local_addr);
-
-        let result = self.drive(&mut tenants, &mut round, &summaries, &tenants_view);
+        let result = drive(
+            &mut tenants,
+            &mut host,
+            round,
+            self.spec.checkpoint_every,
+            self.config.drain_after,
+            self.config.round_throttle,
+        );
         if let Some(plane) = plane {
             plane.stop();
         }
-        let (exit, rounds_run, checkpoints) = result?;
+        let (exit, rounds_run) = result?;
 
-        let reports = tenants
+        let reports = host
+            .slots
             .iter()
-            .map(|t| TenantReport {
-                id: t.spec.id.clone(),
-                report: (t.state != TenantState::Quarantined && t.engine.epoch() >= t.spec.epochs)
-                    .then(|| t.engine.report()),
-                quarantined: t.state == TenantState::Quarantined,
-                epoch: t.engine.epoch(),
+            .map(|slot| {
+                let tenant = slot.tenant.map(|i| &tenants[i]);
+                TenantReport {
+                    id: slot.spec.id.clone(),
+                    report: tenant.filter(|t| t.finished()).map(|t| t.engine().report()),
+                    quarantined: tenant.is_none(),
+                    epoch: tenant.map_or(0, |t| t.engine().epoch()),
+                }
             })
             .collect();
         Ok(FleetOutcome {
             tenants: reports,
             exit,
             rounds_run,
-            checkpoints,
+            checkpoints: tenants.iter().map(Tenant::checkpoints).sum(),
             bound_addr,
         })
     }
+}
 
-    /// The round loop proper. Returns `(exit, rounds stepped here,
-    /// snapshot files written)`.
-    fn drive(
-        &self,
-        tenants: &mut [Tenant],
-        round: &mut u64,
-        summaries: &Arc<Mutex<std::collections::BTreeMap<String, String>>>,
-        tenants_view: &Arc<Mutex<String>>,
-    ) -> Result<(ExitReason, usize, usize)> {
-        let rounds_counter = self.recorder.counter("fleet.rounds");
-        let checkpoint_counter = self.recorder.counter("fleet.checkpoints");
-        let mut rounds_run = 0usize;
-        let mut checkpoints = 0usize;
+/// Resume one tenant from the manifest and its snapshot file, or return
+/// the reason it cannot be trusted.
+fn resume_tenant(
+    dir: &Path,
+    manifest: &Manifest,
+    spec: &TenantSpec,
+    tenant: &mut Tenant,
+) -> Result<ManifestEntry> {
+    let id = &spec.id;
+    let entry = manifest
+        .entry(id)
+        .ok_or_else(|| CoreError::InvalidConfig(format!("tenant `{id}` missing from manifest")))?;
+    let expected_file = spec.snapshot_file();
+    if entry.file != expected_file {
+        return Err(CoreError::InvalidConfig(format!(
+            "manifest names `{}` for tenant `{id}` (want `{expected_file}`)",
+            entry.file
+        )));
+    }
+    let path = dir.join(&entry.file);
+    let bytes = std::fs::read(&path).map_err(|e| {
+        CoreError::InvalidConfig(format!("cannot read snapshot {}: {e}", path.display()))
+    })?;
+    if crc32(&bytes) != entry.crc {
+        return Err(CoreError::InvalidConfig(format!(
+            "snapshot {} does not match the manifest CRC",
+            path.display()
+        )));
+    }
+    tenant.resume(Snapshot::decode(&bytes)?)?;
+    Ok(entry.clone())
+}
 
-        let exit = loop {
-            let all_done = tenants
-                .iter()
-                .all(|t| t.state != TenantState::Running || t.engine.epoch() >= t.spec.epochs);
-            if all_done {
-                break ExitReason::Completed;
-            }
-            if self.shared.shutdown_requested.load(Ordering::SeqCst) {
-                break ExitReason::Drained;
-            }
-            if self.config.drain_after.is_some_and(|cap| rounds_run >= cap) {
-                break ExitReason::Drained;
-            }
+/// One spec tenant's place in the fleet. A quarantined tenant keeps its
+/// routes, over views that are never published, and its roster row.
+struct Slot<'a> {
+    spec: &'a TenantSpec,
+    shared: Arc<ControlShared>,
+    recorder: Recorder,
+    /// Its index among the stepped tenants; `None` when quarantined.
+    tenant: Option<usize>,
+    /// Its snapshot on disk, as the manifest lists it.
+    entry: Option<ManifestEntry>,
+}
 
-            for tenant in tenants.iter_mut() {
-                if tenant.state != TenantState::Running
-                    || tenant.engine.epoch() >= tenant.spec.epochs
-                {
-                    continue;
-                }
-                let stats = tenant
-                    .engine
-                    .step(&mut tenant.accesses, &mut tenant.source)?;
-                tenant.consumed += stats.accesses;
-                // Stamp control-plane load onto the finished epoch's
-                // telemetry sample — wall-clock observations that never
-                // feed back into scheduling (reports stay byte-identical
-                // to solo runs).
-                let requests = self.recorder.counter_value("serve.requests").unwrap_or(0);
-                let p95 = self
-                    .recorder
-                    .histogram("serve.request_latency_us", &duration_us_buckets())
-                    .quantile(0.95)
-                    .unwrap_or(0.0);
-                tenant
-                    .engine
-                    .annotate_requests(stats.index as u64, requests, p95);
-                if tenant.engine.epoch() >= tenant.spec.epochs {
-                    tenant.state = TenantState::Completed;
-                }
-            }
-            rounds_run += 1;
-            *round += 1;
-            rounds_counter.inc();
+/// The fleet's side of [`drive`]: the manifest, the roster and the
+/// aggregate views.
+struct FleetHost<'a> {
+    fleet: &'a Fleet,
+    slots: Vec<Slot<'a>>,
+    /// Tenant snapshots written since the last manifest.
+    written: u64,
+    round_counter: Counter,
+    checkpoint_counter: Counter,
+    /// The round `fleet.rounds` has counted up to.
+    round: u64,
+    /// The roster rows, in spec order.
+    roster: Arc<Mutex<Vec<String>>>,
+}
 
-            let on_cadence =
-                self.spec.checkpoint_every > 0 && *round % self.spec.checkpoint_every as u64 == 0;
-            let fleet_demand = self
-                .shared
-                .checkpoint_requested
-                .swap(false, Ordering::SeqCst);
-            let mut wrote = 0usize;
-            for tenant in tenants.iter_mut() {
-                let tenant_demand = tenant
-                    .shared
-                    .checkpoint_requested
-                    .swap(false, Ordering::SeqCst);
-                if tenant.state == TenantState::Quarantined {
-                    continue;
-                }
-                if on_cadence || fleet_demand || tenant_demand {
-                    self.write_tenant_snapshot(tenant)?;
-                    wrote += 1;
-                }
-            }
-            if wrote > 0 {
-                self.write_manifest(tenants, *round)?;
-                checkpoints += wrote;
-                checkpoint_counter.add(wrote as u64);
-            }
-            self.update_views(
-                tenants,
-                *round,
-                checkpoints,
-                "running",
-                summaries,
-                tenants_view,
-            );
-            if let Some(pause) = self.config.round_throttle {
-                std::thread::sleep(pause);
-            }
-        };
+impl Host for FleetHost<'_> {
+    fn control(&self) -> &ControlShared {
+        &self.fleet.shared
+    }
 
-        if exit == ExitReason::Drained {
-            // Drain contract: the in-flight round has finished, so the
-            // final fleet checkpoint resumes at exactly this boundary.
-            let mut wrote = 0usize;
-            for tenant in tenants.iter_mut() {
-                if tenant.state != TenantState::Quarantined {
-                    self.write_tenant_snapshot(tenant)?;
-                    wrote += 1;
-                }
-            }
-            if wrote > 0 {
-                self.write_manifest(tenants, *round)?;
-                checkpoints += wrote;
-                checkpoint_counter.add(wrote as u64);
-            }
+    fn recorder(&self) -> &Recorder {
+        &self.fleet.recorder
+    }
+
+    fn wrote(&mut self, index: usize, tenant: &Tenant, bytes: &[u8]) {
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.tenant == Some(index)) {
+            slot.entry = Some(ManifestEntry {
+                id: slot.spec.id.clone(),
+                file: slot.spec.snapshot_file(),
+                crc: crc32(bytes),
+                epoch: tenant.engine().epoch() as u64,
+            });
         }
-        let state = match exit {
-            ExitReason::Completed => "completed",
-            ExitReason::Drained => "drained",
-        };
-        self.update_views(tenants, *round, checkpoints, state, summaries, tenants_view);
-        Ok((exit, rounds_run, checkpoints))
+        self.written += 1;
     }
 
-    fn write_tenant_snapshot(&self, tenant: &mut Tenant) -> Result<()> {
-        let snapshot = Snapshot {
-            shape: SnapshotShape::of(&tenant.spec.engine_config(), tenant.problem.len()),
-            engine: tenant.engine.export_state(),
-            source: SourceState::Live(tenant.source.state()),
-            accesses_consumed: tenant.consumed,
-        };
-        let bytes = snapshot.encode();
-        let file = tenant.spec.snapshot_file();
-        write_atomic(&self.config.snapshot_dir.join(&file), &bytes)?;
-        tenant.checkpoints += 1;
-        tenant.recorder.counter("serve.checkpoints").inc();
-        tenant.manifest_entry = Some(ManifestEntry {
-            id: tenant.spec.id.clone(),
-            file,
-            crc: crc32(&bytes),
-            epoch: tenant.engine.epoch() as u64,
-        });
-        Ok(())
-    }
-
-    /// Write the manifest covering every tenant that has a snapshot on
-    /// disk — atomically, and last, so a kill between snapshot and
-    /// manifest writes leaves the previous consistent checkpoint intact.
-    fn write_manifest(&self, tenants: &[Tenant], round: u64) -> Result<()> {
-        let manifest = Manifest {
-            round,
-            entries: tenants
-                .iter()
-                .filter_map(|t| t.manifest_entry.clone())
-                .collect(),
-        };
-        manifest.write_atomic(&self.config.snapshot_dir.join(MANIFEST_FILE))
-    }
-
-    fn update_views(
-        &self,
-        tenants: &[Tenant],
-        round: u64,
-        checkpoints: usize,
-        fleet_state: &str,
-        summaries: &Arc<Mutex<std::collections::BTreeMap<String, String>>>,
-        tenants_view: &Arc<Mutex<String>>,
-    ) {
-        let mut completed = 0usize;
-        let mut quarantined = 0usize;
-        let mut breached = 0usize;
-        let mut rows = Vec::with_capacity(tenants.len());
-        for tenant in tenants {
-            let state = tenant.state_str();
-            if state == "completed" {
-                completed += 1;
-            }
-            if state == "quarantined" {
-                quarantined += 1;
-            } else {
-                publish_engine_views(
-                    &tenant.shared,
-                    &tenant.engine,
-                    tenant.spec.epochs,
-                    tenant.problem.len(),
-                    tenant.checkpoints,
-                    state,
-                );
-            }
-            if tenant.engine.health() == Health::Breach {
-                breached += 1;
-            }
+    /// Write the manifest after a round's tenant snapshots, then refresh
+    /// the roster and the fleet's `/status` and `/health` views.
+    fn boundary(&mut self, tenants: &[Tenant], round: u64, fleet_state: &str) -> Result<()> {
+        self.round_counter.add(round - self.round);
+        self.round = round;
+        if self.written > 0 {
+            // Atomic, and after the tenant files. Those are overwritten in
+            // place, though: a kill between their writes and this one
+            // leaves the old manifest's CRCs stale, and the tenants
+            // rewritten since are quarantined on resume.
+            let manifest = Manifest {
+                round,
+                entries: self.slots.iter().filter_map(|s| s.entry.clone()).collect(),
+            };
+            manifest.write_atomic(&self.fleet.config.snapshot_dir.join(MANIFEST_FILE))?;
+            self.checkpoint_counter.add(self.written);
+            self.written = 0;
+        }
+        let (mut completed, mut quarantined, mut breached) = (0usize, 0usize, 0usize);
+        let mut rows = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let tenant = slot.tenant.map(|i| tenants[i].engine());
+            let state = match slot.tenant.map(|i| tenants[i].finished()) {
+                None => "quarantined",
+                Some(true) => "completed",
+                Some(false) => "running",
+            };
+            completed += usize::from(state == "completed");
+            quarantined += usize::from(tenant.is_none());
+            breached += usize::from(tenant.is_some_and(|e| e.health() == Health::Breach));
+            let (epoch, elements) = tenant.map_or((0, slot.spec.objects), |e| (e.epoch(), e.len()));
             rows.push(format!(
-                "{{\"id\": \"{}\", \"state\": \"{state}\", \"epoch\": {}, \"epochs\": {}, \"elements\": {}}}",
-                tenant.spec.id,
-                tenant.engine.epoch(),
-                tenant.spec.epochs,
-                tenant.problem.len(),
+                "{{\"id\": \"{}\", \"state\": \"{state}\", \"epoch\": {epoch}, \"epochs\": {}, \"elements\": {elements}}}",
+                slot.spec.id, slot.spec.epochs,
             ));
         }
-        if let Ok(mut map) = summaries.lock() {
-            map.clear();
-            for (tenant, row) in tenants.iter().zip(&rows) {
-                map.insert(tenant.spec.id.clone(), row.clone());
-            }
-        }
-        if let Ok(mut view) = tenants_view.lock() {
-            *view = format!("{{\"tenants\": [{}]}}", rows.join(", "));
-        }
-        let status = format!(
-            "{{\"state\": \"{fleet_state}\", \"round\": {round}, \"tenants\": {}, \"completed\": {completed}, \"quarantined\": {quarantined}, \"checkpoints\": {checkpoints}}}",
-            tenants.len(),
-        );
-        if let Ok(mut view) = self.shared.status.lock() {
-            *view = status;
-        }
-        let health = format!(
-            "{{\"state\": \"{}\", \"tenants\": {}, \"breached\": {breached}, \"quarantined\": {quarantined}}}\n",
-            if breached > 0 { "breach" } else { "ok" },
-            tenants.len(),
-        );
-        if let Ok(mut view) = self.shared.health.lock() {
-            *view = health;
-        }
-        self.shared
-            .health_breach
-            .store(breached > 0, Ordering::SeqCst);
-    }
-
-    /// The fleet route table: fleet-level aggregates plus the full
-    /// standard route set per tenant under `/tenants/<id>/...`.
-    fn build_router(
-        &self,
-        tenants: &[Tenant],
-        summaries: &Arc<Mutex<std::collections::BTreeMap<String, String>>>,
-        tenants_view: &Arc<Mutex<String>>,
-    ) -> Router {
-        let mut router = Router::new();
-        for tenant in tenants {
-            register_control_routes(
-                &mut router,
-                &format!("/tenants/{}", tenant.spec.id),
-                Arc::clone(&tenant.shared),
-                tenant.recorder.clone(),
+        let checkpoints: usize = tenants.iter().map(Tenant::checkpoints).sum();
+        let shared = &self.fleet.shared;
+        if let Ok(mut view) = shared.status.lock() {
+            *view = format!(
+                "{{\"state\": \"{fleet_state}\", \"round\": {round}, \"tenants\": {}, \"completed\": {completed}, \"quarantined\": {quarantined}, \"checkpoints\": {checkpoints}}}",
+                rows.len(),
             );
         }
+        if let Ok(mut view) = shared.health.lock() {
+            *view = format!(
+                "{{\"state\": \"{}\", \"tenants\": {}, \"breached\": {breached}, \"quarantined\": {quarantined}}}\n",
+                if breached > 0 { "breach" } else { "ok" },
+                rows.len(),
+            );
+        }
+        shared.health_breach.store(breached > 0, Ordering::SeqCst);
+        if let Ok(mut roster) = self.roster.lock() {
+            *roster = rows;
+        }
+        Ok(())
+    }
+}
+
+impl FleetHost<'_> {
+    /// The fleet route table: fleet-level aggregates plus the standard
+    /// route set per tenant under `/tenants/<id>/...`.
+    fn router(&self) -> Router {
+        let mut router = Router::new();
+        for slot in &self.slots {
+            let prefix = format!("/tenants/{}", slot.spec.id);
+            let shared = Arc::clone(&slot.shared);
+            register_control_routes(&mut router, &prefix, shared, slot.recorder.clone());
+        }
         {
-            let view = Arc::clone(tenants_view);
+            let roster = Arc::clone(&self.roster);
             router.route("GET", "/tenants", move |_, _| {
-                Response::json(200, view.lock().map(|v| v.clone()).unwrap_or_default())
+                let rows = roster.lock().map(|r| r.join(", ")).unwrap_or_default();
+                Response::json(200, format!("{{\"tenants\": [{rows}]}}"))
             });
         }
         {
-            let summaries = Arc::clone(summaries);
+            let roster = Arc::clone(&self.roster);
+            let ids: Vec<String> = self.slots.iter().map(|s| s.spec.id.clone()).collect();
             router.route("GET", "/tenants/{id}", move |_, params| {
-                let id = params.get("id").unwrap_or("");
-                match summaries.lock().ok().and_then(|m| m.get(id).cloned()) {
+                let index = ids
+                    .iter()
+                    .position(|id| params.get("id") == Some(id.as_str()));
+                match index.and_then(|i| roster.lock().ok()?.get(i).cloned()) {
                     Some(row) => Response::json(200, row),
                     None => Response::json(404, "{\"error\":\"no such tenant\"}"),
                 }
             });
         }
         {
-            let shared = Arc::clone(&self.shared);
-            router.route("GET", "/status", move |_, _| {
-                Response::json(
-                    200,
-                    shared.status.lock().map(|v| v.clone()).unwrap_or_default(),
-                )
-            });
-        }
-        {
-            let shared = Arc::clone(&self.shared);
-            router.route("GET", "/health", move |_, _| {
-                let body = shared.health.lock().map(|v| v.clone()).unwrap_or_default();
-                let status = if shared.health_breach.load(Ordering::SeqCst) {
-                    503
-                } else {
-                    200
-                };
-                Response::json(status, body)
-            });
-        }
-        {
-            let fleet = self.recorder.clone();
-            let groups: Vec<(String, Recorder)> = tenants
+            let fleet = self.fleet.recorder.clone();
+            let groups: Vec<(String, Recorder)> = self
+                .slots
                 .iter()
-                .map(|t| (t.spec.id.clone(), t.recorder.clone()))
+                .map(|s| (s.spec.id.clone(), s.recorder.clone()))
                 .collect();
             router.route("GET", "/metrics", move |req: &Request, _| {
                 match req.query_param("format") {
@@ -721,20 +508,8 @@ impl Fleet {
                 }
             });
         }
-        {
-            let shared = Arc::clone(&self.shared);
-            router.route("POST", "/checkpoint", move |_, _| {
-                shared.checkpoint_requested.store(true, Ordering::SeqCst);
-                Response::json(200, "{\"ok\": true, \"action\": \"checkpoint\"}")
-            });
-        }
-        {
-            let shared = Arc::clone(&self.shared);
-            router.route("POST", "/shutdown", move |_, _| {
-                shared.shutdown_requested.store(true, Ordering::SeqCst);
-                Response::json(200, "{\"ok\": true, \"action\": \"shutdown\"}")
-            });
-        }
+        register_status_routes(&mut router, "", Arc::clone(&self.fleet.shared));
+        register_shutdown_route(&mut router, Arc::clone(&self.fleet.shared));
         router
     }
 }
@@ -945,6 +720,11 @@ mod tests {
         assert!(body.starts_with("{\"fleet\": "), "{body}");
         assert!(body.contains("\"tenants\": {"), "{body}");
 
+        let (status, _) = request(addr, "POST", "/tenants/acme/shutdown").unwrap();
+        assert_eq!(
+            status, 404,
+            "a drain stops the whole fleet: no tenant serves /shutdown"
+        );
         let (status, _) = request(addr, "POST", "/shutdown").unwrap();
         assert_eq!(status, 200);
         let outcome = runner.join().unwrap();

@@ -22,12 +22,18 @@
 //! | `GET /timeseries`  | windowed per-epoch telemetry JSON               |
 //! |                    | (`?since=<epoch>&limit=<n>`)                    |
 //! | `POST /checkpoint` | request a snapshot at the next epoch boundary   |
-//! | `POST /shutdown`   | request a graceful drain (finish the in-flight  |
-//! |                    | epoch, checkpoint, exit cleanly)                |
+//!
+//! `POST /shutdown` requests a graceful drain: finish the in-flight
+//! round, checkpoint, exit cleanly. A drain stops the whole process, so
+//! the host registers it once ([`register_shutdown_route`]):
+//! [`ControlPlane::start`] for a solo server, the fleet router for a
+//! fleet. Under a tenant's prefix it answers `404`.
 //!
 //! Request parsing is hand-rolled and deliberately minimal: read the
 //! head up to `\r\n\r\n` (bounded), split the request line, ignore the
-//! body. Control actions are edge-triggered flags on [`ControlShared`];
+//! body. Each connection gets one deadline from accept, so a trickling
+//! client holds the single accept thread for at most that long.
+//! Control actions are edge-triggered flags on [`ControlShared`];
 //! the serve loop polls them between epochs, so the control plane never
 //! touches engine state directly and the epoch loop stays deterministic
 //! regardless of request timing.
@@ -49,9 +55,13 @@ const MAX_HEAD: usize = 8 * 1024;
 /// routes take no payloads, so this only bounds how much a misbehaving
 /// client can make the accept thread read and discard.
 const MAX_BODY: usize = 64 * 1024;
-/// Per-connection socket timeout so a stalled client cannot wedge the
-/// accept loop.
+/// Per-connection deadline, counted from accept: the head read, the body
+/// drain and the reject drain all stop by then, so a stalled or
+/// trickling client cannot wedge the accept loop. Also the timeout of
+/// each write.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a reject drain waits for more bytes from a quiet client.
+const DRAIN_IDLE: Duration = Duration::from_millis(200);
 
 /// State shared between the serve loop and the control plane. The loop
 /// is the only writer of the JSON views and the only consumer of the
@@ -254,8 +264,9 @@ impl Router {
 }
 
 /// Register the standard single-engine control routes under `prefix`
-/// (empty for solo serve, `/tenants/<id>` per fleet tenant), reading
-/// views and latching flags on `shared`, exporting metrics from
+/// (empty for solo serve, `/tenants/<id>` per fleet tenant): the
+/// [`register_status_routes`] plus `GET /schedule`, `/metrics` and
+/// `/timeseries`, reading views on `shared` and exporting metrics from
 /// `recorder`.
 pub fn register_control_routes(
     router: &mut Router,
@@ -264,45 +275,57 @@ pub fn register_control_routes(
     recorder: Recorder,
 ) {
     let at = |route: &str| format!("{prefix}{route}");
-    let view = |field: fn(&ControlShared) -> &Mutex<String>| {
-        let shared = Arc::clone(&shared);
-        move |_: &Request, _: &RouteParams| {
-            let body = field(&shared).lock().map(|s| s.clone()).unwrap_or_default();
-            Response::json(200, body)
-        }
-    };
-    router.route("GET", &at("/status"), view(|s| &s.status));
-    router.route("GET", &at("/schedule"), view(|s| &s.schedule));
     {
-        let recorder = recorder.clone();
-        router.route("GET", &at("/metrics"), move |req, _| {
-            metrics_response(req, &recorder)
+        let shared = Arc::clone(&shared);
+        router.route("GET", &at("/schedule"), move |_, _| {
+            Response::json(200, view(&shared.schedule))
         });
     }
-    {
-        let shared = Arc::clone(&shared);
-        router.route("GET", &at("/health"), move |_, _| health_response(&shared));
-    }
+    router.route("GET", &at("/metrics"), move |req, _| {
+        metrics_response(req, &recorder)
+    });
     {
         let shared = Arc::clone(&shared);
         router.route("GET", &at("/timeseries"), move |req, _| {
             timeseries_response(req, &shared)
         });
     }
+    register_status_routes(router, prefix, shared);
+}
+
+/// Register `GET /status`, `GET /health` and `POST /checkpoint` under
+/// `prefix` over `shared`: the routes a fleet serves for itself as well
+/// as per tenant.
+pub fn register_status_routes(router: &mut Router, prefix: &str, shared: Arc<ControlShared>) {
+    let at = |route: &str| format!("{prefix}{route}");
     {
         let shared = Arc::clone(&shared);
-        router.route("POST", &at("/checkpoint"), move |_, _| {
-            shared.checkpoint_requested.store(true, Ordering::SeqCst);
-            Response::json(200, "{\"ok\": true, \"action\": \"checkpoint\"}")
+        router.route("GET", &at("/status"), move |_, _| {
+            Response::json(200, view(&shared.status))
         });
     }
     {
         let shared = Arc::clone(&shared);
-        router.route("POST", &at("/shutdown"), move |_, _| {
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            Response::json(200, "{\"ok\": true, \"action\": \"shutdown\"}")
-        });
+        router.route("GET", &at("/health"), move |_, _| health_response(&shared));
     }
+    router.route("POST", &at("/checkpoint"), move |_, _| {
+        shared.checkpoint_requested.store(true, Ordering::SeqCst);
+        Response::json(200, "{\"ok\": true, \"action\": \"checkpoint\"}")
+    });
+}
+
+fn view(body: &Mutex<String>) -> String {
+    body.lock().map(|s| s.clone()).unwrap_or_default()
+}
+
+/// Register `POST /shutdown`, which drains the whole process. The host
+/// registers it once: [`ControlPlane::start`] for a solo server, the
+/// fleet router for a fleet.
+pub fn register_shutdown_route(router: &mut Router, shared: Arc<ControlShared>) {
+    router.route("POST", "/shutdown", move |_, _| {
+        shared.shutdown_requested.store(true, Ordering::SeqCst);
+        Response::json(200, "{\"ok\": true, \"action\": \"shutdown\"}")
+    });
 }
 
 /// `GET .../metrics` body for a recorder, honoring `?format=`.
@@ -328,7 +351,7 @@ pub fn metrics_response(request: &Request, recorder: &Recorder) -> Response {
 
 /// `GET .../health` body for a shared view: 503 while breached.
 pub fn health_response(shared: &ControlShared) -> Response {
-    let body = shared.health.lock().map(|s| s.clone()).unwrap_or_default();
+    let body = view(&shared.health);
     let body = if body.is_empty() {
         "{\"state\": \"ok\"}\n".to_string()
     } else {
@@ -402,14 +425,16 @@ impl std::fmt::Debug for ControlPlane {
 
 impl ControlPlane {
     /// Start the standard single-engine plane on an already-bound
-    /// listener: [`register_control_routes`] with an empty prefix.
+    /// listener: [`register_control_routes`] with an empty prefix, plus
+    /// [`register_shutdown_route`].
     pub fn start(
         listener: TcpListener,
         shared: Arc<ControlShared>,
         recorder: Recorder,
     ) -> std::io::Result<ControlPlane> {
         let mut router = Router::new();
-        register_control_routes(&mut router, "", shared, recorder.clone());
+        register_control_routes(&mut router, "", Arc::clone(&shared), recorder.clone());
+        register_shutdown_route(&mut router, shared);
         ControlPlane::start_router(listener, router, recorder)
     }
 
@@ -462,22 +487,22 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool, router: &Router, recor
         let Ok(mut stream) = stream else { continue };
         let started = Instant::now();
         requests.inc();
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        let _ = handle(&mut stream, router);
+        let _ = handle(&mut stream, router, started + IO_TIMEOUT);
         latency.observe(started.elapsed().as_secs_f64() * 1e6);
     }
 }
 
-/// Read the request head (bounded), parse the request line, and answer.
-fn handle(stream: &mut TcpStream, router: &Router) -> std::io::Result<()> {
+/// Read the request head (bounded), parse the request line, and answer;
+/// every read gives up at `deadline`.
+fn handle(stream: &mut TcpStream, router: &Router, deadline: Instant) -> std::io::Result<()> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     let complete = loop {
         if head.len() >= MAX_HEAD {
             break false;
         }
-        match stream.read(&mut buf) {
+        match read_by(stream, &mut buf, deadline) {
             Ok(0) => break head.windows(4).any(|w| w == b"\r\n\r\n"),
             Ok(n) => {
                 head.extend_from_slice(&buf[..n]);
@@ -492,6 +517,7 @@ fn handle(stream: &mut TcpStream, router: &Router) -> std::io::Result<()> {
         return reject_and_drain(
             stream,
             &Response::json(431, "{\"error\":\"request head too large or torn\"}"),
+            deadline,
         );
     }
     // Bytes past the head terminator are the start of the body; the
@@ -510,6 +536,7 @@ fn handle(stream: &mut TcpStream, router: &Router) -> std::io::Result<()> {
             return reject_and_drain(
                 stream,
                 &Response::json(400, "{\"error\":\"malformed Content-Length\"}"),
+                deadline,
             );
         }
     };
@@ -517,6 +544,7 @@ fn handle(stream: &mut TcpStream, router: &Router) -> std::io::Result<()> {
         return reject_and_drain(
             stream,
             &Response::json(413, "{\"error\":\"request body too large\"}"),
+            deadline,
         );
     }
     // Discard the in-bounds body so the connection closes cleanly.
@@ -524,7 +552,7 @@ fn handle(stream: &mut TcpStream, router: &Router) -> std::io::Result<()> {
     let mut scratch = [0u8; 512];
     while remaining > 0 {
         let chunk = remaining.min(scratch.len());
-        match stream.read(&mut scratch[..chunk]) {
+        match read_by(stream, &mut scratch[..chunk], deadline) {
             Ok(0) | Err(_) => break,
             Ok(n) => remaining -= n,
         }
@@ -550,12 +578,29 @@ fn handle(stream: &mut TcpStream, router: &Router) -> std::io::Result<()> {
 /// Answer with a rejection, then drain whatever the client already sent
 /// before closing: a close with unread bytes in the receive buffer turns
 /// into a TCP RST, which would destroy the rejection response in flight.
-fn reject_and_drain(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+/// The drain stops once the client is quiet for [`DRAIN_IDLE`], or at
+/// `deadline`.
+fn reject_and_drain(
+    stream: &mut TcpStream,
+    response: &Response,
+    deadline: Instant,
+) -> std::io::Result<()> {
     let result = write_response(stream, response);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut scratch = [0u8; 512];
-    while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
+    let idle = || deadline.min(Instant::now() + DRAIN_IDLE);
+    while matches!(read_by(stream, &mut scratch, idle()), Ok(n) if n > 0) {}
     result
+}
+
+/// One read that waits no later than `deadline`, and fails with
+/// `TimedOut` once it has passed.
+fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> std::io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(buf)
 }
 
 /// Extract `Content-Length` (case-insensitive) from a request head.
@@ -910,6 +955,53 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         plane.stop();
+    }
+
+    #[test]
+    fn a_trickling_client_holds_the_accept_thread_no_longer_than_one_deadline() {
+        let (plane, _shared, recorder) = start_test_plane();
+        let addr = plane.local_addr();
+        let accepted = || recorder.counter_value("serve.requests").unwrap_or(0);
+        // One byte every 250 ms: each read succeeds well inside a read
+        // timeout, and the head never completes. Returns once the accept
+        // thread has taken the connection.
+        let trickle = || {
+            let before = accepted();
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let client = std::thread::spawn(move || {
+                let head = b"GET /status HTTP/1.1\r\nX-Slow: ".iter();
+                for &byte in head.chain(std::iter::repeat(&b'a')).take(60) {
+                    if stream.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(250));
+                }
+            });
+            while accepted() == before {
+                std::thread::yield_now();
+            }
+            client
+        };
+
+        let first = trickle();
+        let started = Instant::now();
+        while !matches!(request(addr, "GET", "/health"), Ok((200, _))) {
+            assert!(
+                started.elapsed() < Duration::from_secs(6),
+                "/health is stuck behind a trickling client"
+            );
+        }
+
+        let second = trickle();
+        let started = Instant::now();
+        plane.stop();
+        let waited = started.elapsed();
+        assert!(
+            waited < IO_TIMEOUT + Duration::from_secs(1),
+            "stop() waited {waited:?}"
+        );
+        first.join().unwrap();
+        second.join().unwrap();
     }
 
     #[test]

@@ -20,10 +20,15 @@
 //!    `/shutdown`. Handlers never touch engine state: control actions
 //!    latch flags the serve loop consumes between epochs, so request
 //!    timing cannot perturb the deterministic run.
-//! 3. **The serve loop** ([`service`]) — owns the engine and steps it
-//!    one epoch at a time, checkpointing on a cadence or on demand, and
-//!    draining gracefully on shutdown: finish the in-flight epoch,
-//!    write a final snapshot, exit cleanly.
+//! 3. **The serve loop** ([`service`]) — one drive loop, [`drive`],
+//!    steps [`Tenant`]s in rounds. A tenant is one served engine with
+//!    its access stream, poll source, recorder and views. Each round
+//!    steps every unfinished tenant one epoch, checkpoints on a cadence
+//!    or on demand, and publishes the views; shutdown drains: finish the
+//!    in-flight round, write final snapshots, exit cleanly. [`Server`]
+//!    drives one tenant; `freshen-fleet` drives one per tenant spec
+//!    through the same loop, adding its manifest and aggregate views as
+//!    the loop's [`Host`].
 //!
 //! Crash recovery is validation-first: a truncated, bit-flipped,
 //! mis-versioned, or shape-mismatched snapshot is rejected with a
@@ -61,12 +66,12 @@ pub mod service;
 pub mod snapshot;
 
 pub use http::{
-    health_response, metrics_response, percent_decode, register_control_routes, request,
-    request_full, timeseries_response, ControlPlane, ControlShared, Request, Response, RouteParams,
-    Router,
+    health_response, metrics_response, percent_decode, register_control_routes,
+    register_shutdown_route, register_status_routes, request, request_full, timeseries_response,
+    ControlPlane, ControlShared, Request, Response, RouteParams, Router,
 };
 pub use service::{
-    publish_engine_views, ExitReason, ServeConfig, ServeOutcome, ServeWorkload, Server,
-    ACCESS_SEED_SALT, POLL_SEED_SALT,
+    bind_control_plane, drive, publish, publish_engine_views, ExitReason, Host, ServeConfig,
+    ServeOutcome, ServeWorkload, Server, Tenant, ACCESS_SEED_SALT, POLL_SEED_SALT,
 };
 pub use snapshot::{Snapshot, SnapshotShape, SourceState};

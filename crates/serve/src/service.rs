@@ -1,12 +1,18 @@
-//! The serve loop: drive the engine one [`Engine::step`] at a time,
+//! The serve loop: one drive loop that steps served engines in rounds,
 //! checkpointing at epoch boundaries and draining gracefully on demand.
 //!
-//! The loop is the single owner of the engine, the access stream, and
-//! the poll source; the control plane only flips flags and reads JSON
-//! views refreshed between epochs. Checkpoints are only ever taken at
-//! epoch boundaries — the engine's state contract
-//! ([`Engine::export_state`]) holds exactly there, which is what makes a
-//! resumed run byte-identical to an uninterrupted one.
+//! A [`Tenant`] is one served engine. It owns the engine, its access
+//! stream and poll source, the consumed-access count, a recorder and its
+//! control-plane views. [`drive`] steps a set of tenants one epoch per
+//! round, and is the only caller of a tenant's step. [`Server::run`]
+//! drives one tenant; the fleet runtime drives one per tenant spec and
+//! adds its manifest and aggregate views through the [`Host`] hooks.
+//!
+//! The control plane only flips flags and reads JSON views refreshed
+//! between rounds. Checkpoints are only ever taken at epoch boundaries —
+//! the engine's state contract ([`Engine::export_state`]) holds exactly
+//! there, which is what makes a resumed run byte-identical to an
+//! uninterrupted one.
 
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
@@ -21,14 +27,14 @@ use freshen_core::problem::Problem;
 use freshen_engine::stream::BoxedAccessStream;
 use freshen_engine::{
     replay_accesses, Engine, EngineConfig, EngineReport, LiveAccessStream, LivePollSource,
-    ReplayPollSource,
+    PollSource, ReplayPollSource,
 };
 use freshen_obs::json::push_f64;
-use freshen_obs::{duration_us_buckets, Health, Recorder};
+use freshen_obs::{duration_us_buckets, Counter, Health, Recorder};
 use freshen_workload::trace::{AccessRecord, PollRecord};
 
 use crate::http::{ControlPlane, ControlShared};
-use crate::snapshot::{Snapshot, SnapshotShape, SourceState};
+use crate::snapshot::{write_atomic, Snapshot, SnapshotShape, SourceState};
 
 /// Seed salt for the live access stream — shared with the CLI's
 /// `engine` command so `serve` and `engine` runs over the same problem
@@ -140,19 +146,304 @@ pub struct ServeOutcome {
 /// The poll source behind one seam, so checkpoints capture whichever
 /// kind the workload uses.
 enum RunSource {
-    Live(LivePollSource),
+    /// A live source and the change rates it is re-seeded from on resume.
+    Live(LivePollSource, Vec<f64>),
     Replay(ReplayPollSource),
 }
 
 impl RunSource {
+    fn poll_source(&mut self) -> &mut dyn PollSource {
+        match self {
+            RunSource::Live(s, _) => s,
+            RunSource::Replay(s) => s,
+        }
+    }
+
     fn export(&self) -> SourceState {
         match self {
-            RunSource::Live(s) => SourceState::Live(s.state()),
+            RunSource::Live(s, _) => SourceState::Live(s.state()),
             RunSource::Replay(s) => SourceState::Replay {
                 cursors: s.cursors().to_vec(),
             },
         }
     }
+}
+
+/// One served engine with everything it carries across epochs: the
+/// engine, its access stream and poll source, the consumed-access count,
+/// its recorder and its control-plane views. A solo server drives one;
+/// a fleet drives one per tenant.
+pub struct Tenant {
+    engine: Engine,
+    accesses: std::iter::Peekable<BoxedAccessStream>,
+    source: RunSource,
+    consumed: u64,
+    recorder: Recorder,
+    epoch_counter: Counter,
+    checkpoint_counter: Counter,
+    shared: Arc<ControlShared>,
+    checkpoint_path: PathBuf,
+    checkpoints: usize,
+}
+
+impl Tenant {
+    /// Build the prior, the access stream and the poll source exactly as
+    /// the CLI's one-shot `engine` command would — a served run and a
+    /// plain run over the same inputs are the same deterministic
+    /// computation. The engine records into `recorder` and re-solves on
+    /// `executor`; the tenant publishes its views into `shared` and
+    /// writes its snapshot to `checkpoint_path`.
+    pub fn new(
+        workload: &ServeWorkload,
+        config: EngineConfig,
+        recorder: Recorder,
+        executor: Executor,
+        shared: Arc<ControlShared>,
+        checkpoint_path: PathBuf,
+    ) -> Result<Tenant> {
+        let (seed, horizon) = (config.seed, config.horizon());
+        let (engine, accesses, source) = match workload {
+            ServeWorkload::Live {
+                problem,
+                access_rate,
+            } => {
+                let accesses: BoxedAccessStream = Box::new(LiveAccessStream::new(
+                    problem.access_probs(),
+                    *access_rate,
+                    seed ^ ACCESS_SEED_SALT,
+                    horizon,
+                ));
+                let rates = problem.change_rates();
+                let source = LivePollSource::new(rates, seed ^ POLL_SEED_SALT, horizon)?;
+                let source = RunSource::Live(source, rates.to_vec());
+                (Engine::new(problem, config)?, accesses, source)
+            }
+            ServeWorkload::Replay {
+                elements,
+                bandwidth,
+                accesses,
+                polls,
+            } => {
+                let prior = Problem::builder()
+                    .change_rates(vec![config.fallback_rate; *elements])
+                    .access_weights(vec![1.0; *elements])
+                    .bandwidth(*bandwidth)
+                    .build()?;
+                let accesses: BoxedAccessStream = Box::new(replay_accesses(accesses.clone()));
+                let source = RunSource::Replay(ReplayPollSource::new(*elements, polls)?);
+                (Engine::new(&prior, config)?, accesses, source)
+            }
+        };
+        Ok(Tenant {
+            engine: engine
+                .with_recorder(recorder.clone())
+                .with_executor(executor),
+            accesses: accesses.peekable(),
+            source,
+            consumed: 0,
+            epoch_counter: recorder.counter("serve.epochs"),
+            checkpoint_counter: recorder.counter("serve.checkpoints"),
+            recorder,
+            shared,
+            checkpoint_path,
+            checkpoints: 0,
+        })
+    }
+
+    /// Resume from `snapshot`: validate it against this run's shape, then
+    /// inject engine and source state and fast-forward the access stream
+    /// to where the exporting process stopped.
+    pub fn resume(&mut self, snapshot: Snapshot) -> Result<()> {
+        let config = self.engine.config();
+        snapshot.shape.matches(config, self.engine.len())?;
+        let (poll_seed, horizon) = (config.seed ^ POLL_SEED_SALT, config.horizon());
+        self.engine.restore_state(snapshot.engine)?;
+        match (&mut self.source, snapshot.source) {
+            (RunSource::Live(live, rates), SourceState::Live(state)) => {
+                *live = LivePollSource::restore(rates, poll_seed, horizon, &state)?;
+            }
+            (RunSource::Replay(replay), SourceState::Replay { cursors }) => {
+                replay.restore_cursors(cursors)?;
+            }
+            _ => {
+                return Err(CoreError::InvalidConfig(
+                    "snapshot source kind does not match the configured workload".into(),
+                ))
+            }
+        }
+        for _ in 0..snapshot.accesses_consumed {
+            self.accesses.next().ok_or(CoreError::Inconsistent {
+                routine: "serve-resume",
+                invariant: "snapshot consumed more accesses than the stream holds",
+            })??;
+        }
+        self.consumed = snapshot.accesses_consumed;
+        self.recorder.counter("serve.resumes").inc();
+        Ok(())
+    }
+
+    /// Step one epoch, then stamp its telemetry sample with the load on
+    /// the control plane that `plane` records. Annotations are wall-clock
+    /// observations — they ride along in the series (and its checkpoints)
+    /// but never feed back into scheduling, so probed and unprobed runs
+    /// produce identical reports.
+    fn step(&mut self, plane: &Recorder) -> Result<()> {
+        let stats = self
+            .engine
+            .step(&mut self.accesses, self.source.poll_source())?;
+        self.consumed += stats.accesses;
+        self.epoch_counter.inc();
+        let requests = plane.counter_value("serve.requests").unwrap_or(0);
+        let p95 = plane
+            .histogram("serve.request_latency_us", &duration_us_buckets())
+            .quantile(0.95)
+            .unwrap_or(0.0);
+        self.engine
+            .annotate_requests(stats.index as u64, requests, p95);
+        Ok(())
+    }
+
+    /// Write the snapshot atomically and return the bytes written.
+    fn checkpoint(&mut self) -> Result<Vec<u8>> {
+        let snapshot = Snapshot {
+            shape: SnapshotShape::of(self.engine.config(), self.engine.len()),
+            engine: self.engine.export_state(),
+            source: self.source.export(),
+            accesses_consumed: self.consumed,
+        };
+        let bytes = snapshot.encode();
+        write_atomic(&self.checkpoint_path, &bytes)?;
+        self.checkpoints += 1;
+        self.checkpoint_counter.inc();
+        Ok(bytes)
+    }
+
+    /// The served engine.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// True once every configured epoch has run.
+    pub fn finished(&self) -> bool {
+        self.engine.epoch() >= self.engine.config().epochs
+    }
+
+    /// Snapshots written by this process.
+    pub fn checkpoints(&self) -> usize {
+        self.checkpoints
+    }
+}
+
+/// A host of the [`drive`] loop: the solo server or the fleet.
+pub trait Host {
+    /// Host-level flags: `POST /checkpoint` snapshots every tenant and
+    /// `POST /shutdown` drains the whole loop.
+    fn control(&self) -> &ControlShared;
+    /// The control plane's recorder, read for the request-load
+    /// annotations.
+    fn recorder(&self) -> &Recorder;
+    /// `tenants[index]` just wrote `bytes` as its snapshot file.
+    fn wrote(&mut self, _index: usize, _tenant: &Tenant, _bytes: &[u8]) {}
+    /// A round boundary, after every tenant published its views:
+    /// `round` is the host's round counter and `state` is `running`, or
+    /// `completed` / `drained` once the loop stops.
+    fn boundary(&mut self, _tenants: &[Tenant], _round: u64, _state: &str) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The one drive loop. Each round steps every unfinished tenant one
+/// epoch and advances `round`. It then checkpoints every tenant when
+/// `round` reaches the `checkpoint_every` cadence or the host's
+/// `POST /checkpoint` latched, and any tenant whose own checkpoint flag
+/// latched. Last, it [`publish`]es and sleeps `throttle`.
+///
+/// The loop completes once every tenant has finished. The host's
+/// `POST /shutdown`, or `drain_after` rounds in this process, drain it
+/// instead: every tenant writes a final checkpoint. Returns why the loop
+/// stopped and the rounds it stepped.
+pub fn drive(
+    tenants: &mut [Tenant],
+    host: &mut dyn Host,
+    mut round: u64,
+    checkpoint_every: usize,
+    drain_after: Option<usize>,
+    throttle: Option<Duration>,
+) -> Result<(ExitReason, usize)> {
+    let mut rounds = 0usize;
+    let exit = loop {
+        if tenants.iter().all(Tenant::finished) {
+            break ExitReason::Completed;
+        }
+        if host.control().shutdown_requested.load(Ordering::SeqCst)
+            || drain_after.is_some_and(|cap| rounds >= cap)
+        {
+            break ExitReason::Drained;
+        }
+        for tenant in tenants.iter_mut().filter(|t| !t.finished()) {
+            tenant.step(host.recorder())?;
+        }
+        rounds += 1;
+        round += 1;
+        let on_cadence = checkpoint_every > 0 && round % checkpoint_every as u64 == 0;
+        let all = host
+            .control()
+            .checkpoint_requested
+            .swap(false, Ordering::SeqCst)
+            || on_cadence;
+        checkpoint(tenants, host, |t| {
+            t.shared.checkpoint_requested.swap(false, Ordering::SeqCst) || all
+        })?;
+        publish(tenants, host, round, "running")?;
+        if let Some(pause) = throttle {
+            std::thread::sleep(pause);
+        }
+    };
+    if exit == ExitReason::Drained {
+        // The graceful-shutdown contract: the in-flight round has
+        // finished (checkpoints only happen at boundaries), so the final
+        // snapshots resume exactly where this process stopped.
+        checkpoint(tenants, host, |_| true)?;
+    }
+    let state = match exit {
+        ExitReason::Completed => "completed",
+        ExitReason::Drained => "drained",
+    };
+    publish(tenants, host, round, state)?;
+    Ok((exit, rounds))
+}
+
+fn checkpoint(
+    tenants: &mut [Tenant],
+    host: &mut dyn Host,
+    mut due: impl FnMut(&Tenant) -> bool,
+) -> Result<()> {
+    for (index, tenant) in tenants.iter_mut().enumerate() {
+        if due(tenant) {
+            let bytes = tenant.checkpoint()?;
+            host.wrote(index, tenant, &bytes);
+        }
+    }
+    Ok(())
+}
+
+/// Publish every tenant's views (a finished tenant reads `completed`),
+/// then reach the host's round boundary.
+pub fn publish(tenants: &[Tenant], host: &mut dyn Host, round: u64, state: &str) -> Result<()> {
+    for t in tenants {
+        let state = if t.finished() { "completed" } else { state };
+        let (epochs, elements) = (t.engine.config().epochs, t.engine.len());
+        publish_engine_views(&t.shared, &t.engine, epochs, elements, t.checkpoints, state);
+    }
+    host.boundary(tenants, round, state)
+}
+
+/// Bind the control-plane listener when `listen` names an address.
+pub fn bind_control_plane(listen: Option<&str>) -> Result<Option<TcpListener>> {
+    let Some(addr) = listen else { return Ok(None) };
+    TcpListener::bind(addr).map(Some).map_err(|e| {
+        CoreError::InvalidConfig(format!("cannot bind control plane on `{addr}`: {e}"))
+    })
 }
 
 /// A configured, bound (but not yet running) service.
@@ -174,6 +465,20 @@ impl std::fmt::Debug for Server {
     }
 }
 
+/// The solo server's side of [`drive`]: its tenant's own flags, and the
+/// recorder its control plane shares with the engine.
+struct Solo<'a>(&'a ControlShared, &'a Recorder);
+
+impl Host for Solo<'_> {
+    fn control(&self) -> &ControlShared {
+        self.0
+    }
+
+    fn recorder(&self) -> &Recorder {
+        self.1
+    }
+}
+
 impl Server {
     /// Validate the configuration and bind the control-plane listener
     /// (if `listen` is set) so [`local_addr`](Server::local_addr) is
@@ -189,12 +494,7 @@ impl Server {
                 });
             }
         }
-        let listener = match &config.listen {
-            Some(addr) => Some(TcpListener::bind(addr).map_err(|e| {
-                CoreError::InvalidConfig(format!("cannot bind control plane on `{addr}`: {e}"))
-            })?),
-            None => None,
-        };
+        let listener = bind_control_plane(config.listen.as_deref())?;
         Ok(Server {
             workload,
             config,
@@ -231,239 +531,59 @@ impl Server {
         Arc::clone(&self.shared)
     }
 
-    /// Run to completion or graceful drain. Consumes the server; the
-    /// control plane (if any) is stopped before returning, on success
-    /// and on error alike.
-    pub fn run(mut self) -> Result<ServeOutcome> {
-        let cfg = self.config.engine.clone();
-        let n = self.workload.elements();
-        let horizon = cfg.horizon();
-
-        // Build the prior, the access stream, and the poll source
-        // exactly as the CLI's one-shot `engine` command would — a
-        // served run and a plain run over the same inputs are the same
-        // deterministic computation.
-        let (prior, accesses, mut source) = match &self.workload {
-            ServeWorkload::Live {
-                problem,
-                access_rate,
-            } => {
-                let stream: BoxedAccessStream = Box::new(LiveAccessStream::new(
-                    problem.access_probs(),
-                    *access_rate,
-                    cfg.seed ^ ACCESS_SEED_SALT,
-                    horizon,
-                ));
-                let source = LivePollSource::new(
-                    problem.change_rates(),
-                    cfg.seed ^ POLL_SEED_SALT,
-                    horizon,
-                )?;
-                (problem.clone(), stream, RunSource::Live(source))
-            }
-            ServeWorkload::Replay {
-                elements,
-                bandwidth,
-                accesses,
-                polls,
-            } => {
-                let prior = Problem::builder()
-                    .change_rates(vec![cfg.fallback_rate; *elements])
-                    .access_weights(vec![1.0; *elements])
-                    .bandwidth(*bandwidth)
-                    .build()?;
-                let stream: BoxedAccessStream = Box::new(replay_accesses(accesses.clone()));
-                let source = ReplayPollSource::new(*elements, polls)?;
-                (prior, stream, RunSource::Replay(source))
-            }
-        };
-        let mut accesses = accesses.peekable();
-        let mut engine = Engine::new(&prior, cfg.clone())?
-            .with_recorder(self.recorder.clone())
-            .with_executor(self.executor.clone());
-
-        // Resume: validate the snapshot against this run's shape, then
-        // inject engine + source state and fast-forward the access
-        // stream to where the exporting process stopped.
-        let mut consumed: u64 = 0;
-        if let Some(path) = self.config.resume.clone() {
-            let snapshot = Snapshot::read(&path)?;
-            snapshot.shape.matches(&cfg, n)?;
-            engine.restore_state(snapshot.engine)?;
-            match (&mut source, snapshot.source) {
-                (RunSource::Live(live), SourceState::Live(state)) => {
-                    let rates = match &self.workload {
-                        ServeWorkload::Live { problem, .. } => problem.change_rates(),
-                        ServeWorkload::Replay { .. } => {
-                            return Err(CoreError::Inconsistent {
-                                routine: "serve-resume",
-                                invariant: "live source implies a live workload",
-                            })
-                        }
-                    };
-                    *live =
-                        LivePollSource::restore(rates, cfg.seed ^ POLL_SEED_SALT, horizon, &state)?;
-                }
-                (RunSource::Replay(replay), SourceState::Replay { cursors }) => {
-                    replay.restore_cursors(cursors)?;
-                }
-                _ => {
-                    return Err(CoreError::InvalidConfig(
-                        "snapshot source kind does not match the configured workload".into(),
-                    ))
-                }
-            }
-            for _ in 0..snapshot.accesses_consumed {
-                match accesses.next() {
-                    Some(Ok(_)) => {}
-                    Some(Err(e)) => return Err(e),
-                    None => {
-                        return Err(CoreError::Inconsistent {
-                            routine: "serve-resume",
-                            invariant: "snapshot consumed more accesses than the stream holds",
-                        })
-                    }
-                }
-            }
-            consumed = snapshot.accesses_consumed;
-            self.recorder.counter("serve.resumes").inc();
+    /// Run to completion or graceful drain: [`drive`] one tenant. Consumes
+    /// the server; the control plane (if any) is stopped before
+    /// returning, on success and on error alike.
+    pub fn run(self) -> Result<ServeOutcome> {
+        let config = &self.config;
+        let mut tenant = Tenant::new(
+            &self.workload,
+            config.engine.clone(),
+            self.recorder.clone(),
+            self.executor.clone(),
+            Arc::clone(&self.shared),
+            config.checkpoint_path.clone(),
+        )?;
+        if let Some(path) = &config.resume {
+            tenant.resume(Snapshot::read(path)?)?;
         }
-
-        self.update_views(&engine, 0, "running");
-        let plane = match self.listener.take() {
-            Some(listener) => Some(
-                ControlPlane::start(listener, Arc::clone(&self.shared), self.recorder.clone())
-                    .map_err(|e| CoreError::InvalidConfig(format!("control plane: {e}")))?,
-            ),
-            None => None,
-        };
+        // A solo run counts its cadence against absolute epochs.
+        let round = tenant.engine().epoch() as u64;
+        let tenants = std::slice::from_mut(&mut tenant);
+        let mut host = Solo(&self.shared, &self.recorder);
+        publish(tenants, &mut host, round, "running")?;
+        let plane = self
+            .listener
+            .map(|l| ControlPlane::start(l, Arc::clone(&self.shared), self.recorder.clone()))
+            .transpose()
+            .map_err(|e| CoreError::InvalidConfig(format!("control plane: {e}")))?;
         let bound_addr = plane.as_ref().map(ControlPlane::local_addr);
-
-        let result = self.drive(&mut engine, &mut accesses, &mut source, consumed);
+        let result = drive(
+            tenants,
+            &mut host,
+            round,
+            config.checkpoint_every,
+            config.drain_after,
+            config.epoch_throttle,
+        );
         if let Some(plane) = plane {
             plane.stop();
         }
-        let (exit, epochs_run, checkpoints) = result?;
-        let report = match exit {
-            ExitReason::Completed => Some(engine.report()),
-            ExitReason::Drained => None,
-        };
+        let (exit, epochs_run) = result?;
         Ok(ServeOutcome {
-            report,
+            report: (exit == ExitReason::Completed).then(|| tenant.engine.report()),
             exit,
             epochs_run,
-            checkpoints,
+            checkpoints: tenant.checkpoints,
             bound_addr,
         })
-    }
-
-    /// The epoch loop proper. Returns `(exit, epochs stepped here,
-    /// checkpoints written)`.
-    fn drive(
-        &self,
-        engine: &mut Engine,
-        accesses: &mut std::iter::Peekable<BoxedAccessStream>,
-        source: &mut RunSource,
-        mut consumed: u64,
-    ) -> Result<(ExitReason, usize, usize)> {
-        let epochs_counter = self.recorder.counter("serve.epochs");
-        let checkpoint_counter = self.recorder.counter("serve.checkpoints");
-        let total_epochs = self.config.engine.epochs;
-        let mut checkpoints = 0usize;
-        let mut stepped = 0usize;
-
-        let exit = loop {
-            if engine.epoch() >= total_epochs {
-                break ExitReason::Completed;
-            }
-            if self.shared.shutdown_requested.load(Ordering::SeqCst) {
-                break ExitReason::Drained;
-            }
-            if self.config.drain_after.is_some_and(|cap| stepped >= cap) {
-                break ExitReason::Drained;
-            }
-            let stats = match source {
-                RunSource::Live(s) => engine.step(accesses, s)?,
-                RunSource::Replay(s) => engine.step(accesses, s)?,
-            };
-            consumed += stats.accesses;
-            stepped += 1;
-            epochs_counter.inc();
-
-            // Stamp the finished epoch's telemetry sample with
-            // control-plane load. Annotations are wall-clock
-            // observations — they ride along in the series (and its
-            // checkpoints) but never feed back into scheduling, so
-            // probed and unprobed runs produce identical reports.
-            let requests = self.recorder.counter_value("serve.requests").unwrap_or(0);
-            let p95 = self
-                .recorder
-                .histogram("serve.request_latency_us", &duration_us_buckets())
-                .quantile(0.95)
-                .unwrap_or(0.0);
-            engine.annotate_requests(stats.index as u64, requests, p95);
-
-            let on_cadence = self.config.checkpoint_every > 0
-                && engine.epoch() % self.config.checkpoint_every == 0;
-            let on_demand = self
-                .shared
-                .checkpoint_requested
-                .swap(false, Ordering::SeqCst);
-            if on_cadence || on_demand {
-                self.write_checkpoint(engine, source, consumed)?;
-                checkpoints += 1;
-                checkpoint_counter.inc();
-            }
-            self.update_views(engine, checkpoints, "running");
-            if let Some(pause) = self.config.epoch_throttle {
-                std::thread::sleep(pause);
-            }
-        };
-
-        if exit == ExitReason::Drained {
-            // The graceful-shutdown contract: the in-flight epoch has
-            // finished (checkpoints only happen at boundaries), so the
-            // final snapshot resumes exactly where this process stopped.
-            self.write_checkpoint(engine, source, consumed)?;
-            checkpoints += 1;
-            checkpoint_counter.inc();
-        }
-        let state = match exit {
-            ExitReason::Completed => "completed",
-            ExitReason::Drained => "drained",
-        };
-        self.update_views(engine, checkpoints, state);
-        Ok((exit, stepped, checkpoints))
-    }
-
-    fn write_checkpoint(&self, engine: &Engine, source: &RunSource, consumed: u64) -> Result<()> {
-        let snapshot = Snapshot {
-            shape: SnapshotShape::of(&self.config.engine, self.workload.elements()),
-            engine: engine.export_state(),
-            source: source.export(),
-            accesses_consumed: consumed,
-        };
-        snapshot.write_atomic(&self.config.checkpoint_path)
-    }
-
-    /// Refresh the `/status` and `/schedule` JSON views.
-    fn update_views(&self, engine: &Engine, checkpoints: usize, state: &str) {
-        publish_engine_views(
-            &self.shared,
-            engine,
-            self.config.engine.epochs,
-            self.workload.elements(),
-            checkpoints,
-            state,
-        );
     }
 }
 
 /// Publish the standard control-plane views for one engine into a
 /// [`ControlShared`]: `/status`, `/schedule`, `/health` (plus the breach
-/// flag), and the telemetry series. Shared between the solo serve loop
-/// and the fleet runtime, so a tenant's views read identically to a solo
-/// run's.
+/// flag), and the telemetry series. Every [`Tenant`] publishes through
+/// it, so a fleet tenant's views read identically to a solo run's.
 pub fn publish_engine_views(
     shared: &ControlShared,
     engine: &Engine,
