@@ -594,11 +594,9 @@ pub struct Solution {
     /// multiplier of their reduced problem).
     pub multiplier: Option<f64>,
     /// The cost weight `γ` the producing solve priced polls at: the fixed
-    /// `--poll-cost` weight in cost-aware mode, or the cost-budget dual
-    /// found by [`solve_cost_budget`]-style outer iterations. `None` for
-    /// cost-blind solves.
-    ///
-    /// [`solve_cost_budget`]: https://docs.rs/freshen-solver
+    /// `--poll-cost` weight in cost-aware mode, or the levy that
+    /// `freshen_solver::LagrangeSolver::solve_cost_budget` found for a
+    /// cost budget. `None` for cost-blind solves.
     pub cost_multiplier: Option<f64>,
     /// Iterations the producing algorithm spent.
     pub iterations: usize,

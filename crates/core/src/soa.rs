@@ -52,8 +52,8 @@ impl<'a> ProblemColumns<'a> {
     }
 }
 
-/// A borrowed slice of a [`PackedColumns`]: contiguous sub-columns plus
-/// the original element ids for each packed position.
+/// A borrowed view of a [`PackedColumns`]'s read-only columns plus the
+/// original element id of each packed position.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnsRef<'a> {
     /// Original element index of each packed position.
@@ -190,21 +190,6 @@ impl PackedColumns {
         std::mem::swap(&mut self.f, other);
     }
 
-    /// Borrow a contiguous sub-slice of the packed columns (without the
-    /// frequency column, which callers usually need mutably).
-    ///
-    /// # Panics
-    /// Panics when the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> ColumnsRef<'_> {
-        ColumnsRef {
-            ids: &self.ids[range.clone()],
-            p: &self.p[range.clone()],
-            lambda: &self.lambda[range.clone()],
-            s: &self.s[range.clone()],
-            c: &self.c[range],
-        }
-    }
-
     /// Borrow the read-only columns together with the mutable frequency
     /// column in one call. Hot loops that refine `f` in place while
     /// reading `p`/`λ`/`s` need all four simultaneously; the split
@@ -286,18 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_is_a_true_subslice() {
-        let p = toy();
-        let packed = PackedColumns::gather(&p, &[0, 1, 2, 3]);
-        let sub = packed.slice(1..3);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.ids, &[1, 2]);
-        assert_eq!(sub.p, &packed.p()[1..3]);
-        // Pointer identity: the slice borrows, never copies.
-        assert!(std::ptr::eq(sub.p.as_ptr(), packed.p()[1..3].as_ptr()));
-    }
-
-    #[test]
     fn scatter_writes_back_through_the_permutation() {
         let p = toy();
         let mut packed = PackedColumns::gather(&p, &[2, 0]);
@@ -334,7 +307,6 @@ mod tests {
             .unwrap();
         let packed = PackedColumns::gather(&costly, &[2, 0, 3]);
         assert_eq!(packed.c(), &[7.0, 5.0, 8.0]);
-        assert_eq!(packed.slice(1..3).c, &[5.0, 8.0]);
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub struct EngineConfig {
     /// objective, bit-for-bit.
     pub poll_cost: f64,
     /// Optional cost-spend cap `C`. When set, the engine calibrates the
-    /// levy once at startup — the dual bisection
+    /// levy once at startup — the levy search
     /// (`LagrangeSolver::solve_cost_budget`) on the *prior* problem
     /// yields the shadow price γ\*, which is then installed as the
     /// operating `poll_cost` for the whole run. Mutually exclusive with a

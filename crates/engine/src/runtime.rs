@@ -1130,6 +1130,78 @@ mod tests {
     }
 
     #[test]
+    fn cost_budget_engine_runs_at_the_cap_levy_and_resumes_byte_identically() {
+        use freshen_core::audit::SolutionAudit;
+        use freshen_core::policy::SyncPolicy;
+        use freshen_solver::LagrangeSolver;
+
+        let p = Problem::builder()
+            .change_rates(vec![3.0, 2.0, 1.5, 1.0])
+            .access_weights(vec![4.0, 3.0, 2.0, 1.0])
+            .costs(vec![0.5, 0.9, 1.3, 1.7])
+            .bandwidth(6.0)
+            .build()
+            .unwrap();
+        let solver = LagrangeSolver::default();
+        let cap = 0.6 * p.cost_used(&solver.solve(&p).unwrap().frequencies);
+        let mut config = small_config();
+        config.cost_budget = Some(cap);
+        let rates = [3.0, 2.0, 1.5, 1.0];
+        let horizon = config.horizon();
+        let make_accesses =
+            || LiveAccessStream::new(p.access_probs(), 80.0, 31, horizon).peekable();
+        let split = 3;
+
+        // The engine operates at the cap's levy, and its initial
+        // schedule keeps to the cap and certifies at that levy.
+        let levy = solver
+            .solve_cost_budget(&p, cap)
+            .unwrap()
+            .cost_multiplier
+            .expect("binding cap ⇒ positive levy");
+        let mut reference = Engine::new(&p, config.clone()).unwrap();
+        assert_eq!(
+            reference.scheduler().cost_weight().to_bits(),
+            levy.to_bits()
+        );
+        let initial = reference.scheduler().schedule();
+        let spend = p.cost_used(&initial.frequencies);
+        assert!(spend <= cap * (1.0 + solver.budget_tol), "{spend} > {cap}");
+        let report = SolutionAudit::default()
+            .check_with_cost(&p, initial, SyncPolicy::FixedOrder, levy)
+            .unwrap();
+        assert!(report.is_clean(), "{}", report.to_json());
+
+        // A restore re-derives the levy and finishes with the
+        // uninterrupted report.
+        let mut ref_source = LivePollSource::new(&rates, 32, horizon).unwrap();
+        let expected = reference
+            .run(make_accesses(), &mut ref_source)
+            .unwrap()
+            .to_json();
+        let mut first = Engine::new(&p, config.clone()).unwrap();
+        let mut source = LivePollSource::new(&rates, 32, horizon).unwrap();
+        let mut accesses = make_accesses();
+        let mut consumed = 0u64;
+        for _ in 0..split {
+            consumed += first.step(&mut accesses, &mut source).unwrap().accesses;
+        }
+        let state = first.export_state();
+        let source_state = source.state();
+        let mut second = Engine::new(&p, config.clone()).unwrap();
+        second.restore_state(state).unwrap();
+        let mut source2 = LivePollSource::restore(&rates, 32, horizon, &source_state).unwrap();
+        let mut accesses2 = make_accesses();
+        for _ in 0..consumed {
+            accesses2.next().unwrap().unwrap();
+        }
+        while second.epoch() < config.epochs {
+            second.step(&mut accesses2, &mut source2).unwrap();
+        }
+        assert_eq!(second.report().to_json(), expected);
+    }
+
+    #[test]
     fn telemetry_series_and_slo_follow_the_run() {
         use freshen_obs::SloConfig;
         let p = prior(4, 4.0);

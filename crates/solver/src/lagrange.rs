@@ -55,7 +55,7 @@ use freshen_core::numeric::NeumaierSum;
 use freshen_core::policy::SyncPolicy;
 use freshen_core::problem::{Problem, Solution};
 use freshen_core::soa::PackedColumns;
-use freshen_obs::Recorder;
+use freshen_obs::{Recorder, SpanGuard};
 
 /// Change rates below this are treated as "static": the element is always
 /// fresh and never worth bandwidth.
@@ -82,7 +82,7 @@ const MAX_ELASTICITY: f64 = 1e3;
 /// the blend budget-exact; every element that differs between the ends
 /// has its marginal inside the bracket, so the blend is optimal to float
 /// precision.
-pub(crate) fn blend_bracket_ends(
+fn blend_bracket_ends(
     f: &mut [f64],
     (lo, used_lo): (&[f64], f64),
     (hi, used_hi): (&[f64], f64),
@@ -187,16 +187,19 @@ impl LagrangeSolver {
     /// The cost constraint is dualized: for a levy `γ ≥ 0`, a
     /// [`cost_weight`](Self::cost_weight) solve maximizes `PF − γ·cost`,
     /// and the spend of that solution is monotone non-increasing in `γ`
-    /// (a larger levy prices more polls out). The method therefore probes
-    /// `γ = 0` first — if the cost-blind optimum already fits in `C`, the
-    /// constraint is slack and the plain solve is returned — and
-    /// otherwise geometrically bisects `γ` on
-    /// `(0, max pᵢ/(λᵢcᵢ)]` (above which nothing is polled and the spend
-    /// is 0) until the spend matches `C`. Each probe is a full inner
-    /// solve, warm-started from the previous probe's water level. If the
-    /// spend jumps across `C` at a starvation threshold and the bracket
-    /// exhausts, the feasible (`spend ≤ C`) side is returned, so the cost
-    /// budget is never overdrawn.
+    /// (a larger levy prices more polls out). The first pass is the plain
+    /// solve (`γ = 0`): if it already fits in `C`, the constraint is slack
+    /// and that solve is returned. Otherwise the water-level search finds
+    /// the levy on `(0, max pᵢ/(λᵢcᵢ))` (above which nothing taxed is
+    /// polled) whose spend is `C`. Each of its passes water-fills the
+    /// active set at one `γ`, warm from the previous pass's `μ`, and
+    /// measures the spend's slope in `ln γ` with `μ` re-solved; the
+    /// columns are gathered and scattered once per call. The spend ends
+    /// within `budget_tol·C` of `C`; when it jumps across `C` at a
+    /// starvation threshold, the allocations at the two ends of the final
+    /// bracket are blended to spend `C` exactly, and the under-budget
+    /// end's levy and `μ` are reported. `iterations` counts every
+    /// allocation pass of the call.
     pub fn solve_cost_budget(&self, problem: &Problem, cost_budget: f64) -> Result<Solution> {
         if !cost_budget.is_finite() || cost_budget <= 0.0 {
             return Err(CoreError::InvalidValue {
@@ -205,129 +208,67 @@ impl LagrangeSolver {
                 value: cost_budget,
             });
         }
-        let rec = &self.recorder;
-        rec.counter("solver.cost_budget_solves").inc();
-
-        // γ = 0 probe: plain (cost-blind) solve.
-        let base = LagrangeSolver {
+        self.recorder.counter("solver.cost_budget_solves").inc();
+        let solver = LagrangeSolver {
             cost_weight: 0.0,
             ..self.clone()
         };
-        let plain = base.solve(problem)?;
-        if problem.cost_used(&plain.frequencies) <= cost_budget {
-            return Ok(plain); // cost constraint slack; shadow price 0
-        }
-
-        // γ upper bound: above the largest p/(λc) the levy exceeds every
-        // element's zero-frequency marginal value and nothing is polled.
-        // Zero-cost elements are exempt from the levy and impose no bound.
-        let p = problem.access_probs();
-        let lam = problem.change_rates();
-        let gamma_limit = (0..problem.len())
-            .filter(|&i| p[i] > 0.0 && lam[i] > STATIC_RATE && problem.poll_cost(i) > 0.0)
-            .map(|i| p[i] / (lam[i] * problem.poll_cost(i)))
+        let (mut cols, chunks, _span) = solver.pack(problem)?;
+        // Above the largest p/(λc) the levy exceeds every taxed element's
+        // zero-frequency marginal value, so nothing taxed is polled and
+        // the spend is 0.
+        let (p, lam, c) = (cols.p(), cols.lambda(), cols.c());
+        let gamma_limit = p
+            .iter()
+            .zip(lam)
+            .zip(c)
+            .filter(|(_, &c)| c > 0.0)
+            .map(|((&p, &lam), &c)| p / (lam * c))
             .fold(0.0f64, f64::max);
-        if gamma_limit <= 0.0 {
-            // Every active element polls for free, yet the spend exceeds
-            // the cost budget: no levy can reduce it.
-            return Err(CoreError::NoConvergence {
-                routine: "cost-budget dual bisection",
-                iterations: 1,
-                residual: (problem.cost_used(&plain.frequencies) - cost_budget) / cost_budget,
-            });
-        }
-
-        let solve_at = |gamma: f64, hint: Option<f64>| -> Result<(Solution, f64)> {
-            let solver = LagrangeSolver {
-                cost_weight: gamma,
-                ..self.clone()
-            };
-            let sol = match hint {
-                Some(h) => solver.solve_warm(problem, h)?,
-                None => solver.solve(problem)?,
-            };
-            let spend = problem.cost_used(&sol.frequencies);
-            Ok((sol, spend))
-        };
-
-        // Bracket: spend(γ_lo) > C ≥ spend(γ_hi). γ_lo = 0 is the plain
-        // solve above; γ_hi = γ_limit spends exactly 0.
-        let mut gamma_lo = 0.0f64;
-        let mut gamma_hi = gamma_limit;
-        let mut best: Option<(Solution, f64)> = None; // feasible side
-        let mut hint = plain.multiplier;
-        for iter in 0..self.max_outer {
-            let gamma = if gamma_lo > 0.0 {
-                (gamma_lo * gamma_hi).sqrt()
-            } else {
-                // No positive under-budget levy known yet: walk down
-                // geometrically from the kill-everything bound.
-                gamma_hi * 0.25
-            };
-            let (sol, spend) = solve_at(gamma, hint)?;
-            hint = sol.multiplier.filter(|&m| m > 0.0).or(hint);
-            rec.event(
-                "solver.cost_budget",
-                &[
-                    ("iter", &iter),
-                    ("gamma", &gamma),
-                    ("residual", &((spend - cost_budget) / cost_budget)),
-                ],
-            );
-            if spend <= cost_budget {
-                gamma_hi = gamma;
-                let better = match &best {
-                    Some((_, prev)) => spend > *prev,
-                    None => true,
-                };
-                if better {
-                    best = Some((sol, spend));
-                }
-                if spend >= cost_budget * (1.0 - self.budget_tol.max(1e-12) * 1e3) {
-                    break; // spend within tolerance of C from below
-                }
-            } else {
-                gamma_lo = gamma;
-            }
-            if gamma_lo > 0.0 && gamma_hi - gamma_lo <= gamma_hi * 1e-12 {
-                break; // bracket exhausted (spend jump at a threshold)
-            }
-        }
-        match best {
-            Some((sol, _)) => Ok(sol),
-            None => Err(CoreError::NoConvergence {
-                routine: "cost-budget dual bisection",
-                iterations: self.max_outer,
-                residual: f64::INFINITY,
-            }),
-        }
-    }
-
-    /// Gather the active set — positive interest and a genuinely changing
-    /// source copy — into contiguous structure-of-arrays columns. Every
-    /// pass of the water-level search then sweeps linear memory; the
-    /// gather happens exactly once per solve instead of once per pass.
-    pub(crate) fn pack_active(&self, problem: &Problem) -> PackedColumns {
-        let p = problem.access_probs();
-        let lam = problem.change_rates();
-        let active: Vec<usize> = (0..problem.len())
-            .filter(|&i| p[i] > 0.0 && lam[i] > STATIC_RATE)
-            .collect();
-        PackedColumns::gather(problem, &active)
-    }
-
-    /// The water-level solve behind [`solve`](Self::solve) and
-    /// [`solve_warm`](Self::solve_warm). Passes run over the packed active
-    /// columns in fixed chunks (a function of the active count only, so
-    /// the pass is bit-identical across worker counts); the final
-    /// schedule is scattered back through the pack permutation once,
-    /// after convergence.
-    fn solve_impl(&self, problem: &Problem, hint: Option<f64>) -> Result<Solution> {
-        let mut cols = self.pack_active(problem);
-        let chunks = chunk_ranges(cols.len(), DEFAULT_CHUNK);
-        let n = problem.len();
+        let start = sqrt_law_level(
+            p.iter().zip(lam).zip(c).map(|((&p, &l), &c)| (p, l, c)),
+            cost_budget,
+            gamma_limit,
+        );
         let m = cols.len();
-        let budget = problem.bandwidth();
+        let mut levy = LevyFill {
+            solver,
+            chunks: &chunks,
+            cols: &mut cols,
+            bandwidth: problem.bandwidth(),
+            mu: 0.0,
+            passes: 0,
+            lo: vec![0.0; m],
+            hi: vec![0.0; m],
+            hi_end: (gamma_limit, 0.0),
+        };
+        let (gamma, mu) = if levy.fill(0.0)?.used <= cost_budget {
+            (0.0, levy.mu) // the cost constraint is slack: shadow price 0
+        } else {
+            let level =
+                self.water_level(&mut levy, cost_budget, self.budget_tol, gamma_limit, start)?;
+            match level.straddle {
+                // Report the under-budget end's levy and water level: a
+                // levied solve at the reported levy (as the engine runs)
+                // then lands on that end, not on the one that overdraws C.
+                Some(ends) => {
+                    let (lo, hi) = ((&levy.lo[..], ends.0), (&levy.hi[..], ends.1));
+                    blend_bracket_ends(levy.cols.f_mut(), lo, hi, cost_budget);
+                    levy.hi_end
+                }
+                None => (level.mu, levy.mu),
+            }
+        };
+        levy.solver.cost_weight = gamma;
+        Ok(levy.solver.finish(problem, levy.cols, mu, levy.passes))
+    }
+
+    /// Check the solver's levy, gather the active set — positive interest
+    /// and a genuinely changing source copy — into contiguous
+    /// structure-of-arrays columns with their pass chunks, and open the
+    /// solve's span. Every pass then sweeps linear memory; the gather
+    /// happens exactly once per solve instead of once per pass.
+    fn pack(&self, problem: &Problem) -> Result<(PackedColumns, Vec<Range<usize>>, SpanGuard)> {
         let gamma = self.cost_weight;
         if !gamma.is_finite() || gamma < 0.0 {
             return Err(CoreError::InvalidValue {
@@ -336,23 +277,48 @@ impl LagrangeSolver {
                 value: gamma,
             });
         }
-
+        let p = problem.access_probs();
+        let lam = problem.change_rates();
+        let active: Vec<usize> = (0..problem.len())
+            .filter(|&i| p[i] > 0.0 && lam[i] > STATIC_RATE)
+            .collect();
+        let cols = PackedColumns::gather(problem, &active);
+        let chunks = chunk_ranges(cols.len(), DEFAULT_CHUNK);
         let rec = &self.recorder;
-        let mut solve_span = rec.span("solver.lagrange.solve");
-        solve_span.arg("n", n);
-        solve_span.arg("chunks", chunks.len());
+        let mut span = rec.span("solver.lagrange.solve");
+        span.arg("n", problem.len());
+        span.arg("chunks", chunks.len());
         rec.counter("solver.solves").inc();
+        Ok((cols, chunks, span))
+    }
+
+    /// The water-level solve behind [`solve`](Self::solve) and
+    /// [`solve_warm`](Self::solve_warm): pack, fill, scatter once.
+    fn solve_impl(&self, problem: &Problem, hint: Option<f64>) -> Result<Solution> {
+        let (mut cols, chunks, _span) = self.pack(problem)?;
+        let (mu, passes) = self.fill_columns(&mut cols, &chunks, problem.bandwidth(), hint)?;
+        Ok(self.finish(problem, &cols, mu, passes))
+    }
+
+    /// Water-fill the packed columns at the solver's levy to spend
+    /// `budget`, from the warm start `hint` when usable, and leave the
+    /// allocation in their frequency column. Returns the water level μ
+    /// and the allocation passes spent.
+    fn fill_columns(
+        &self,
+        cols: &mut PackedColumns,
+        chunks: &[Range<usize>],
+        budget: f64,
+        hint: Option<f64>,
+    ) -> Result<(f64, usize)> {
+        let gamma = self.cost_weight;
+        let rec = &self.recorder;
         let c_outer = rec.counter("solver.outer_iters");
         let c_inner = rec.counter("solver.inner_iters");
 
         if cols.is_empty() {
             // Nothing worth refreshing; all-zero allocation is optimal.
-            let mut sol = Solution::evaluate_with_policy(problem, vec![0.0; n], self.policy);
-            sol.multiplier = Some(0.0);
-            if gamma > 0.0 {
-                sol.cost_multiplier = Some(gamma);
-            }
-            return Ok(sol);
+            return Ok((0.0, 0));
         }
 
         // μ upper bound: above the largest zero-frequency marginal value
@@ -379,20 +345,9 @@ impl LagrangeSolver {
             // γ > 0 and the levy prices every element out of the market:
             // the unconstrained optimum of PF − γ·cost is the empty
             // schedule, well under budget.
-            let mut sol = Solution::evaluate_with_policy(problem, vec![0.0; n], self.policy);
-            sol.multiplier = Some(0.0);
-            sol.cost_multiplier = Some(gamma);
-            return Ok(sol);
+            cols.f_mut().fill(0.0);
+            return Ok((0.0, 0));
         }
-
-        let mut fill = PackedFill {
-            solver: self,
-            chunks: &chunks,
-            cols: &mut cols,
-            // The μ = μ_hi_limit allocation: all zero, spending nothing.
-            hi: vec![0.0; m],
-            lo: vec![0.0; m],
-        };
 
         // With a levy active the budget constraint may not bind: the μ = 0
         // allocation (each element polled until its marginal freshness
@@ -401,8 +356,8 @@ impl LagrangeSolver {
         // needed. Zero-cost elements make the μ = 0 allocation unbounded,
         // so the probe only runs when every active element is taxed.
         let mut probed = 0usize;
-        if gamma > 0.0 && fill.cols.c().iter().all(|&c| c > 0.0) {
-            let interior = fill.fill(0.0);
+        if gamma > 0.0 && cols.c().iter().all(|&c| c > 0.0) {
+            let interior = self.allocate(chunks, cols, 0.0);
             probed = 1;
             c_outer.add(1);
             c_inner.add(interior.steps as u64);
@@ -416,13 +371,7 @@ impl LagrangeSolver {
                 ],
             );
             if interior.used <= budget {
-                let mut freqs = vec![0.0; n];
-                fill.cols.scatter_f(&mut freqs);
-                let mut sol = Solution::evaluate_with_policy(problem, freqs, self.policy);
-                sol.multiplier = Some(0.0);
-                sol.cost_multiplier = Some(gamma);
-                sol.iterations = 1;
-                return Ok(sol);
+                return Ok((0.0, 1));
             }
         }
 
@@ -438,13 +387,22 @@ impl LagrangeSolver {
                 if other.is_some() {
                     rec.counter("solver.warm_start.miss").inc();
                 }
-                let (p, lam, s) = (fill.cols.p(), fill.cols.lambda(), fill.cols.s());
+                let (p, lam, s) = (cols.p(), cols.lambda(), cols.s());
                 sqrt_law_level(
                     p.iter().zip(lam).zip(s).map(|((&p, &l), &s)| (p, l, s)),
                     budget,
                     mu_hi_limit,
                 )
             }
+        };
+        let m = cols.len();
+        let mut fill = PackedFill {
+            solver: self,
+            chunks,
+            cols,
+            // The μ = μ_hi_limit allocation: all zero, spending nothing.
+            hi: vec![0.0; m],
+            lo: vec![0.0; m],
         };
         let level = self.water_level(&mut fill, budget, self.budget_tol, mu_hi_limit, start)?;
         let PackedFill { cols, lo, hi, .. } = fill;
@@ -459,25 +417,32 @@ impl LagrangeSolver {
             // Converged: snap the (already tiny) residual multiplicatively.
             None => snap_to_budget(cols.f_mut(), level.used, budget),
         }
-
-        let passes = probed + level.passes;
         c_outer.add(level.passes as u64);
         c_inner.add(level.steps as u64);
-        let mut freqs = vec![0.0; n];
-        cols.scatter_f(&mut freqs);
-        let mut sol = Solution::evaluate_with_policy(problem, freqs, self.policy);
-        sol.multiplier = Some(level.mu);
-        if gamma > 0.0 {
-            sol.cost_multiplier = Some(gamma);
-        }
-        sol.iterations = passes;
-        Ok(sol)
+        Ok((level.mu, probed + level.passes))
     }
 
-    /// The one safeguarded root-finder on the water level μ, shared by
-    /// every water-filling solve (flat, warm, each γ probe of
-    /// [`solve_cost_budget`](Self::solve_cost_budget), and the tiered
-    /// shared-price split): find μ where the pass spends `budget`.
+    /// Finish a solve: scatter the packed allocation into a full-length
+    /// schedule and evaluate it, with water level `mu`, the solver's levy
+    /// (when positive) and `passes` allocation passes.
+    fn finish(&self, problem: &Problem, cols: &PackedColumns, mu: f64, passes: usize) -> Solution {
+        let mut freqs = vec![0.0; problem.len()];
+        cols.scatter_f(&mut freqs);
+        let mut sol = Solution::evaluate_with_policy(problem, freqs, self.policy);
+        sol.multiplier = Some(mu);
+        if self.cost_weight > 0.0 {
+            sol.cost_multiplier = Some(self.cost_weight);
+        }
+        sol.iterations = passes;
+        sol
+    }
+
+    /// The solver's one multiplier search: the water level μ of every
+    /// solve (flat and warm, and the tiered budget split, which pools its
+    /// tiers into one flat solve), and the levy γ of
+    /// [`solve_cost_budget`](Self::solve_cost_budget), whose passes are
+    /// themselves water-level solves. Finds the level where a pass spends
+    /// `budget`.
     ///
     /// Spend falls monotonically in μ and, where most of it sits on the
     /// `f ∝ μ^{−1/2}` side of the solution locus, is nearly a power law,
@@ -500,7 +465,7 @@ impl LagrangeSolver {
     /// to `tol·μ` without that (the optimum straddles a starvation
     /// threshold): then `straddle` carries both ends' spends for
     /// [`blend_bracket_ends`].
-    pub(crate) fn water_level(
+    fn water_level(
         &self,
         fill: &mut impl WaterFill,
         budget: f64,
@@ -523,7 +488,7 @@ impl LagrangeSolver {
         let mut previous: Option<(f64, f64)> = None;
         while passes < self.max_outer {
             passes += 1;
-            let pass = fill.fill(mu);
+            let pass = fill.fill(mu)?;
             steps += pass.steps;
             let residual = pass.used - budget;
             rec.event(
@@ -675,16 +640,9 @@ impl LagrangeSolver {
     /// Public because it *is* the paper's Figure 1: for a fixed water level
     /// `μ`, this maps a (p, λ) pair to the sync frequency the optimum would
     /// grant it — the solution locus `∂F̄/∂f = μ/p` (paper Eq. 6). The
-    /// unit-cost `c = 1.0` is assumed here; cost-aware callers go through
-    /// [`element_frequency_costed`](Self::element_frequency_costed).
+    /// unit cost `c = 1.0` is assumed for the `γ·c` levy term.
     pub fn element_frequency(&self, p: f64, lam: f64, s: f64, mu: f64) -> f64 {
         self.water_fill(p, lam, s, 1.0, mu).0
-    }
-
-    /// [`element_frequency`](Self::element_frequency) with an explicit
-    /// per-poll cost `c` for the `γ·c` levy term.
-    pub fn element_frequency_costed(&self, p: f64, lam: f64, s: f64, c: f64, mu: f64) -> f64 {
-        self.water_fill(p, lam, s, c, mu).0
     }
 
     /// The closed-form water-filling kernel: element `(p, λ, s, c)`'s
@@ -743,46 +701,49 @@ fn snap_to_budget(f: &mut [f64], used: f64, budget: f64) {
 
 /// Which end of the water-level bracket a pass landed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum End {
+enum End {
     /// Over budget: μ is below the water level.
     Lo,
     /// Under budget: μ is above it.
     Hi,
 }
 
-/// What one allocation pass at a trial water level measured.
+/// What one pass at a trial level measured.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Pass {
-    /// Bandwidth `Σ sᵢfᵢ` allocated.
-    pub used: f64,
-    /// `Σ sᵢfᵢEᵢ = −d used/d ln μ`, each elasticity capped.
-    pub slope: f64,
+struct Pass {
+    /// Spend at the level: bandwidth `Σ sᵢfᵢ` for a water level, cost
+    /// `Σ cᵢfᵢ` for a levy.
+    used: f64,
+    /// `−d used/d ln level`; for a water level `Σ sᵢfᵢEᵢ`, each elasticity
+    /// capped.
+    slope: f64,
     /// Kernel steps taken.
-    pub steps: usize,
+    steps: usize,
 }
 
-/// A water-filling problem as [`LagrangeSolver::water_level`] sees it.
-pub(crate) trait WaterFill {
-    /// Allocate at water level `mu`.
-    fn fill(&mut self, mu: f64) -> Pass;
+/// A problem as [`LagrangeSolver::water_level`] sees it: a spend that
+/// falls monotonically in one level.
+trait WaterFill {
+    /// Allocate at level `mu`.
+    fn fill(&mut self, mu: f64) -> Result<Pass>;
     /// Keep the last pass's allocation as the bracket's `end`.
     fn keep(&mut self, end: End);
 }
 
 /// Where the water-level search stopped.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Level {
-    /// The converged μ, or the bracket's low end after a straddle.
-    pub mu: f64,
+struct Level {
+    /// The converged level, or the bracket's low end after a straddle.
+    mu: f64,
     /// Spend at `mu` (the budget itself after a straddle).
-    pub used: f64,
-    /// Allocation passes spent.
-    pub passes: usize,
+    used: f64,
+    /// Passes spent.
+    passes: usize,
     /// Kernel steps spent.
-    pub steps: usize,
+    steps: usize,
     /// `(used_lo, used_hi)` of the kept ends when the bracket closed on a
     /// straddle; their allocations blend to the budget.
-    pub straddle: Option<(f64, f64)>,
+    straddle: Option<(f64, f64)>,
 }
 
 /// The flat solve's [`WaterFill`]: passes write the packed frequency
@@ -797,8 +758,8 @@ struct PackedFill<'a> {
 }
 
 impl WaterFill for PackedFill<'_> {
-    fn fill(&mut self, mu: f64) -> Pass {
-        self.solver.allocate(self.chunks, self.cols, mu)
+    fn fill(&mut self, mu: f64) -> Result<Pass> {
+        Ok(self.solver.allocate(self.chunks, self.cols, mu))
     }
 
     fn keep(&mut self, end: End) {
@@ -809,16 +770,80 @@ impl WaterFill for PackedFill<'_> {
     }
 }
 
+/// The cost-budget search's [`WaterFill`] over one gathered column set: a
+/// pass at levy γ water-fills the columns at γ, warm from the previous
+/// pass's μ, and sweeps them once for the cost spend `Σ cᵢfᵢ` and its
+/// slope in `ln γ`. Keeping an end swaps the frequency column with the
+/// end's buffer; the high end's levy and μ are recorded too.
+struct LevyFill<'a> {
+    /// The cost-blind solver; each pass sets its levy.
+    solver: LagrangeSolver,
+    chunks: &'a [Range<usize>],
+    cols: &'a mut PackedColumns,
+    /// The bandwidth budget `B`.
+    bandwidth: f64,
+    /// Water level of the last pass.
+    mu: f64,
+    /// Allocation passes of every pass so far.
+    passes: usize,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    hi_end: (f64, f64),
+}
+
+impl WaterFill for LevyFill<'_> {
+    fn fill(&mut self, gamma: f64) -> Result<Pass> {
+        self.solver.cost_weight = gamma;
+        // The plain (γ = 0) pass is a cold solve.
+        let hint = (gamma > 0.0).then_some(self.mu);
+        let (mu, passes) =
+            self.solver
+                .fill_columns(self.cols, self.chunks, self.bandwidth, hint)?;
+        (self.mu, self.passes) = (mu, self.passes + passes);
+
+        // With τ = μs + γc, E = −d ln f/d ln τ and a = fE/τ, a levy step
+        // moves f by −a·dτ. Holding Σsf = B re-solves μ with
+        // dμ/dγ = −Σasc/Σas², so −d spend/d ln γ is
+        // γ·(Σac² − (Σasc)²/Σas²), or γ·Σac² when μ = 0. The kernel at
+        // unit size, no levy and level τ returns E whole.
+        let cols = &*self.cols;
+        let mut spend = NeumaierSum::new();
+        let (mut acc, mut asc, mut ass) = (0.0f64, 0.0f64, 0.0f64);
+        for k in 0..cols.len() {
+            let (f, s, c) = (cols.f()[k], cols.s()[k], cols.c()[k]);
+            spend.add(c * f);
+            if f > 0.0 && gamma > 0.0 {
+                let tau = mu * s + gamma * c;
+                let (p, lam) = (cols.p()[k], cols.lambda()[k]);
+                let a = f * self.solver.water_fill(p, lam, 1.0, 0.0, tau).1 / tau;
+                (acc, asc, ass) = (acc + a * c * c, asc + a * s * c, ass + a * s * s);
+            }
+        }
+        let slope = if mu > 0.0 { acc - asc * asc / ass } else { acc };
+        Ok(Pass {
+            used: spend.total(),
+            slope: gamma * slope,
+            steps: 0, // the inner passes count their own
+        })
+    }
+
+    fn keep(&mut self, end: End) {
+        match end {
+            End::Lo => self.cols.swap_f(&mut self.lo),
+            End::Hi => {
+                self.cols.swap_f(&mut self.hi);
+                self.hi_end = (self.solver.cost_weight, self.mu);
+            }
+        }
+    }
+}
+
 /// Cold-start water level from the small-`x` law `φ(x) ≈ x²/2`, under
 /// which `f = √(pλ/(2μs))` and the spend is `μ^{−1/2}·Σ√(pλs/2)`: the μ
 /// that spends `budget` under that law. Since `φ(x) ≤ x²/2`, the true
 /// spend there is at most `budget`, so the start sits at or above the
 /// water level; it is kept below `mu_limit`.
-pub(crate) fn sqrt_law_level(
-    terms: impl Iterator<Item = (f64, f64, f64)>,
-    budget: f64,
-    mu_limit: f64,
-) -> f64 {
+fn sqrt_law_level(terms: impl Iterator<Item = (f64, f64, f64)>, budget: f64, mu_limit: f64) -> f64 {
     let root_sum: f64 = terms.map(|(p, lam, s)| (0.5 * p * lam * s).sqrt()).sum();
     let level = (root_sum / budget).powi(2);
     if level > 0.0 && level < mu_limit {
@@ -1552,7 +1577,7 @@ pub(crate) mod tests {
         );
         assert!(
             spend >= cap * 0.99,
-            "dual bisection should spend close to the cap: {spend} vs {cap}"
+            "the levy search should spend close to the cap: {spend} vs {cap}"
         );
         let gamma = sol.cost_multiplier.expect("binding cap ⇒ positive levy");
         assert!(gamma > 0.0);
@@ -1564,6 +1589,78 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(slack.frequencies, plain.frequencies);
         assert_eq!(slack.cost_multiplier, None);
+    }
+
+    /// [`striped`] with per-poll costs `0.5 + 0.4·(i mod 7)`.
+    fn striped_costed(n: usize, tilt: f64) -> Problem {
+        let base = striped(n, tilt);
+        Problem::builder()
+            .change_rates(base.change_rates().to_vec())
+            .access_probs(base.access_probs().to_vec())
+            .costs((0..n).map(|i| 0.5 + 0.4 * (i % 7) as f64).collect())
+            .bandwidth(base.bandwidth())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn cost_budget_blends_a_levy_straddle_to_spend_the_cap() {
+        // The spend jumps across this cap at one element's starvation
+        // threshold, so no float levy spends it. Returning the feasible
+        // end left 0.26% of the cap unspent at a positive levy; the blend
+        // of both ends spends the cap.
+        let problem = striped_costed(100, 0.7);
+        let solver = LagrangeSolver::default();
+        let plain = solver.solve(&problem).unwrap();
+        let cap = 0.45 * problem.cost_used(&plain.frequencies);
+        let sol = solver.solve_cost_budget(&problem, cap).unwrap();
+        let spend = problem.cost_used(&sol.frequencies);
+        assert!(
+            (spend - cap).abs() <= cap * 1e-12,
+            "spend {spend} vs cap {cap}"
+        );
+        let gamma = sol.cost_multiplier.expect("binding cap ⇒ positive levy");
+        let report = SolutionAudit::default()
+            .check_with_cost(&problem, &sol, solver.policy, gamma)
+            .unwrap();
+        assert!(report.is_clean(), "{}", report.to_json());
+    }
+
+    #[test]
+    fn cost_budget_spends_binding_caps_and_certifies_on_the_striped_grid() {
+        // 228 binding caps, k/20 of the plain solve's cost spend. Each
+        // solve must spend its cap to within [C(1 − 1e-9), C(1 + tol)] and
+        // certify at its levy. The γ bisection took 23,629 passes here;
+        // the levy search must take at most two thirds of that.
+        let solver = LagrangeSolver::default();
+        let mut passes = 0;
+        for n in [100, 300, 1000] {
+            for tilt in [0.7, 1.0, 1.35, 2.0] {
+                let problem = striped_costed(n, tilt);
+                let plain = solver.solve(&problem).unwrap();
+                let spend0 = problem.cost_used(&plain.frequencies);
+                for k in 1..20 {
+                    let cap = spend0 * k as f64 / 20.0;
+                    let sol = solver.solve_cost_budget(&problem, cap).unwrap();
+                    let spend = problem.cost_used(&sol.frequencies);
+                    assert!(
+                        spend >= cap * (1.0 - 1e-9) && spend <= cap * (1.0 + solver.budget_tol),
+                        "n={n} tilt={tilt} k={k}: spend {spend} vs cap {cap}"
+                    );
+                    let gamma = sol.cost_multiplier.expect("binding cap ⇒ positive levy");
+                    let report = SolutionAudit::default()
+                        .check_with_cost(&problem, &sol, solver.policy, gamma)
+                        .unwrap();
+                    assert!(
+                        report.is_clean(),
+                        "n={n} tilt={tilt} k={k}: {}",
+                        report.to_json()
+                    );
+                    passes += sol.iterations;
+                }
+            }
+        }
+        assert!(passes * 3 <= 23_629 * 2, "{passes} passes");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! * [`tiered`] — the **multi-tier relay** solver: block-coordinate
 //!   ascent over a `freshen_core::topology` DAG with per-tier budgets,
 //!   adjoint marginal-value weights, per-tier inner water-filling on the
-//!   flat solver, an outer shared-price budget-split search, and strict
-//!   per-tier KKT certification.
+//!   flat solver, an outer budget split priced by one flat solve over
+//!   every tier's entries, and strict per-tier KKT certification.
 //! * [`baselines`] — interest-blind comparators from related work:
 //!   uniform allocation, change-proportional ("TTL-ish") allocation, and a
 //!   sampling-based greedy policy in the spirit of Cho & Ntoulas

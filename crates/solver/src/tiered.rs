@@ -42,28 +42,23 @@
 //! # Budget split
 //!
 //! [`TieredSolver::solve_split`] searches over the division of one
-//! total budget across tiers, reusing the dual machinery of
-//! [`solve_cost_budget`](LagrangeSolver::solve_cost_budget): at the
-//! split optimum every tier's water level (marginal edge-PF per unit of
-//! bandwidth) is equal, otherwise moving bandwidth from the
-//! lowest-marginal tier to the highest would raise edge PF. So the
-//! outer search finds one **shared price** `μ` over all tiers' entries
-//! at once — per-entry frequencies from the flat solve's closed-form
-//! kernel, total spend monotone decreasing in `μ`, the level found by the
-//! flat solve's Newton root-finder — until the total budget is met; each
-//! tier's budget is whatever it consumed at that shared level. Weights
-//! and budgets are alternated to a joint fixed point.
+//! total budget across tiers. At the split optimum every tier's water
+//! level (marginal edge-PF per unit of bandwidth) is equal, otherwise
+//! moving bandwidth from the lowest-marginal tier to the highest would
+//! raise edge PF. So the outer step prices all tiers' entries at one
+//! **shared price** `μ`: it pools every tier's fundable entries, at
+//! their adjoint weights, into one flat problem with the total budget
+//! and solves it with the flat solver; each tier's budget is whatever
+//! its entries spend at that shared level. Weights and budgets are
+//! alternated to a joint fixed point.
 
 use freshen_core::audit::{AuditReport, SolutionAudit};
 use freshen_core::error::{CoreError, Result};
-use freshen_core::numeric::NeumaierSum;
 use freshen_core::policy::SyncPolicy;
 use freshen_core::problem::{Problem, Solution};
 use freshen_core::topology::{TieredSchedule, Topology};
 
-use crate::lagrange::{
-    blend_bracket_ends, sqrt_law_level, End, LagrangeSolver, Pass, WaterFill, STATIC_RATE,
-};
+use crate::lagrange::{LagrangeSolver, STATIC_RATE};
 
 /// Smallest share of the total budget a budget split hands any tier, so
 /// no tier is frozen out of the next weight-refresh round.
@@ -323,6 +318,9 @@ impl TieredSolver {
                 value: self.base.cost_weight,
             });
         }
+        if self.max_rounds == 0 {
+            return Err(no_rounds());
+        }
         let policy = self.policy();
         let tiers: Vec<usize> = topo.order().iter().copied().filter(|&n| n != 0).collect();
         let entries: Vec<Vec<(usize, usize)>> =
@@ -510,7 +508,7 @@ impl TieredSolver {
                 break;
             }
         }
-        Ok(best.expect("at least one split iteration ran"))
+        best.ok_or_else(no_rounds)
     }
 
     /// Make a round's solution deliver its whole split. A tier leaves
@@ -562,28 +560,22 @@ impl TieredSolver {
         Ok(sol)
     }
 
-    /// Water-fill every tier's entries against one shared price: find
-    /// the `μ` at which the total spend meets `total_budget` with the
-    /// flat solve's root-finder, then read each tier's budget off its
-    /// spend at that level.
+    /// Water-fill every tier's entries against one shared price: pool
+    /// the fundable entries into one flat problem with the total budget,
+    /// solve it, and read each tier's budget off its spend at that level.
     fn shared_price_split(
         &self,
         sol: &TieredSolution,
         problem: &Problem,
         total_budget: f64,
     ) -> Result<Vec<f64>> {
-        let solver = LagrangeSolver {
-            cost_weight: 0.0,
-            ..self.base.clone()
-        };
-        // (weight, λ, s, tier-slot) for every fundable entry.
-        let mut entries: Vec<(f64, f64, f64, usize)> = Vec::new();
+        let (lam, sizes) = (problem.change_rates(), problem.sizes());
+        // (tier slot, element, weight) for every fundable entry.
+        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
         for (t, rec) in sol.nodes.iter().enumerate() {
-            for (k, &(_, i)) in rec.entries.iter().enumerate() {
-                let w = rec.weights[k];
-                let lam = problem.change_rates()[i];
-                if w > 0.0 && lam > STATIC_RATE {
-                    entries.push((w, lam, problem.sizes()[i], t));
+            for (&(_, i), &w) in rec.entries.iter().zip(&rec.weights) {
+                if w > 0.0 && lam[i] > STATIC_RATE {
+                    entries.push((t, i, w));
                 }
             }
         }
@@ -595,47 +587,26 @@ impl TieredSolver {
             budgets[0] = 0.0;
             return Ok(budgets);
         }
-        let mu_limit = entries
-            .iter()
-            .map(|&(w, lam, s, _)| w / (lam * s))
-            .fold(0.0f64, f64::max);
-        let start = sqrt_law_level(
-            entries.iter().map(|&(w, lam, s, _)| (w, lam, s)),
-            total_budget,
-            mu_limit,
-        );
-        let mut fill = TierFill {
-            solver: &solver,
-            entries: &entries,
-            spends: vec![0.0; n_tiers],
-            lo: vec![0.0; n_tiers],
-            hi: vec![0.0; n_tiers],
+        let pooled = Problem::builder()
+            .change_rates(entries.iter().map(|&(_, i, _)| lam[i]).collect())
+            .sizes(entries.iter().map(|&(_, i, _)| sizes[i]).collect())
+            .access_weights(entries.iter().map(|&(_, _, w)| w).collect())
+            .bandwidth(total_budget)
+            .build()?;
+        let solver = LagrangeSolver {
+            budget_tol: SPLIT_TOL,
+            ..self.base.clone()
         };
-        let level = solver.water_level(&mut fill, total_budget, SPLIT_TOL, mu_limit, start)?;
-        let spends = match level.straddle {
-            Some((used_lo, used_hi)) => {
-                let mut spends = vec![0.0; n_tiers];
-                blend_bracket_ends(
-                    &mut spends,
-                    (&fill.lo, used_lo),
-                    (&fill.hi, used_hi),
-                    total_budget,
-                );
-                spends
-            }
-            None => fill.spends,
-        };
+        let flat = solver.solve(&pooled)?;
+        let mut spends = vec![0.0f64; n_tiers];
+        for (&(t, i, _), &f) in entries.iter().zip(&flat.frequencies) {
+            spends[t] += sizes[i] * f;
+        }
         // Scale multiplicatively so the split sums to the total budget
         // exactly, with a relative floor so no tier is frozen out of
         // the next weight-refresh round.
         let sum: f64 = spends.iter().sum();
         let mut budgets = vec![0.0f64; node_count];
-        if sum <= 0.0 {
-            for b in budgets.iter_mut().skip(1) {
-                *b = total_budget / n_tiers as f64;
-            }
-            return Ok(budgets);
-        }
         for (t, rec) in sol.nodes.iter().enumerate() {
             budgets[rec.node] = (spends[t] / sum).max(SPLIT_FLOOR) * total_budget;
         }
@@ -716,43 +687,12 @@ impl TieredSolver {
     }
 }
 
-/// The shared-price split's [`WaterFill`]: a pass prices every tier's
-/// entries at one `μ` and records each tier's spend.
-struct TierFill<'a> {
-    solver: &'a LagrangeSolver,
-    /// `(weight, λ, s, tier)` per fundable entry.
-    entries: &'a [(f64, f64, f64, usize)],
-    spends: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
-
-impl WaterFill for TierFill<'_> {
-    fn fill(&mut self, mu: f64) -> Pass {
-        let mut per_tier = vec![NeumaierSum::new(); self.spends.len()];
-        let mut slope = 0.0f64;
-        for &(w, lam, s, t) in self.entries {
-            let (f, elasticity) = self.solver.water_fill(w, lam, s, 1.0, mu);
-            per_tier[t].add(s * f);
-            slope += s * f * elasticity;
-        }
-        let mut total = NeumaierSum::new();
-        for (spend, acc) in self.spends.iter_mut().zip(per_tier) {
-            *spend = acc.total();
-            total.add(*spend);
-        }
-        Pass {
-            used: total.total(),
-            slope,
-            steps: 0,
-        }
-    }
-
-    fn keep(&mut self, end: End) {
-        match end {
-            End::Lo => self.lo.copy_from_slice(&self.spends),
-            End::Hi => self.hi.copy_from_slice(&self.spends),
-        }
+/// The error for a tiered solver allowed no block-ascent round.
+fn no_rounds() -> CoreError {
+    CoreError::InvalidValue {
+        what: "tiered solver max rounds",
+        index: None,
+        value: 0.0,
     }
 }
 
@@ -961,6 +901,27 @@ mod tests {
             handed.edge_pf,
             plain.edge_pf
         );
+    }
+
+    #[test]
+    fn zero_rounds_are_rejected() {
+        // With no block-ascent round, `solve` returned an all-zero
+        // schedule and `solve_split` panicked.
+        let n = 50;
+        let problem = problem(n);
+        let topo = chain(20.0, 10.0, n);
+        let solver = TieredSolver {
+            max_rounds: 0,
+            ..TieredSolver::default()
+        };
+        assert!(matches!(
+            solver.solve(&topo, &problem),
+            Err(CoreError::InvalidValue { .. })
+        ));
+        assert!(matches!(
+            solver.solve_split(&topo, &problem, 30.0),
+            Err(CoreError::InvalidValue { .. })
+        ));
     }
 
     #[test]

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Throughput-regression guard for BENCH_*.json telemetry.
+"""Throughput- and work-regression guard for BENCH_*.json telemetry.
 
 Compares a fresh benchmark run against committed baseline telemetry
 (e.g. results/BENCH_scale.json for exp_scale, BENCH_estimators.json
 for exp_estimators) and fails when any run shared by both files got
-more than REGRESSION_TOLERANCE slower. Wall-clock noise on shared CI
-runners is real, so the guard compares only runs present in both files
-(the committed baseline may be the full grid; the smoke grid is a
-subset) and a generous default tolerance is used.
+more than REGRESSION_TOLERANCE slower, or took more solver iterations.
+Wall-clock noise on shared CI runners is real, so the guard compares
+only runs present in both files (the committed baseline may be the full
+grid; the smoke grid is a subset) and a generous default tolerance is
+used. Iteration counts are deterministic, so they get no tolerance:
+that check also guards runs too fast to time.
 
 Usage: check_scale_regression.py BASELINE.json FRESH.json [tolerance]
 
-Exit status: 0 when no run regressed beyond tolerance, 1 otherwise.
+Exit status: 0 when no run regressed, 1 otherwise.
 """
 
 import json
@@ -62,6 +64,23 @@ def main(argv):
         if ratio > tolerance and not noise:
             regressions.append((name, ratio))
 
+    more_work = []
+    for name in shared:
+        base_iters = baseline[name].get("solver_iterations")
+        fresh_iters = fresh[name].get("solver_iterations")
+        if not (isinstance(base_iters, int) and isinstance(fresh_iters, int)):
+            continue
+        status = "MORE WORK" if fresh_iters > base_iters else "ok"
+        print(f"{name}: baseline {base_iters} solver iterations, fresh {fresh_iters} {status}")
+        if fresh_iters > base_iters:
+            more_work.append(name)
+
+    if more_work:
+        print(
+            f"{len(more_work)} run(s) took more solver iterations than the baseline: "
+            + ", ".join(more_work),
+            file=sys.stderr,
+        )
     if regressions:
         worst = max(regressions, key=lambda r: r[1])
         print(
@@ -69,8 +88,12 @@ def main(argv):
             f"worst: {worst[0]} at {worst[1]:.2f}x",
             file=sys.stderr,
         )
+    if regressions or more_work:
         return 1
-    print(f"all {len(shared)} shared runs within {tolerance:.2f}x of baseline")
+    print(
+        f"all {len(shared)} shared runs within {tolerance:.2f}x of baseline, "
+        "with no more solver iterations"
+    )
     return 0
 
 

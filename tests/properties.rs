@@ -1029,9 +1029,10 @@ fn zero_levy_solve_is_byte_identical_to_plain() {
 
 #[test]
 fn cost_budget_solve_never_overdraws_and_certifies() {
-    // Across caps from deep to mild, the dual bisection must return a
-    // schedule spending at most the cap, and the returned levy must
-    // certify under the strict cost-adjusted KKT conditions.
+    // Across caps from deep to mild, the levy search must return a
+    // schedule spending at most the cap — and, at a positive levy, all of
+    // it — and the returned levy must certify under the strict
+    // cost-adjusted KKT conditions.
     let n = 200;
     let problem = costed_fixed_problem(n);
     let solver = LagrangeSolver::default();
@@ -1047,6 +1048,10 @@ fn cost_budget_solve_never_overdraws_and_certifies() {
             "frac={frac}: spend {used} exceeds cap {cap}"
         );
         let gamma = sol.cost_multiplier.unwrap_or(0.0);
+        assert!(
+            gamma == 0.0 || used >= cap * (1.0 - 1e-9),
+            "frac={frac}: spend {used} leaves cap {cap} unspent at levy {gamma}"
+        );
         let report = SolutionAudit::default()
             .check_with_cost(&problem, &sol, solver.policy, gamma)
             .unwrap();
