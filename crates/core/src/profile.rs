@@ -185,35 +185,61 @@ impl MasterProfile {
     }
 }
 
+/// Binary exponent of the fold threshold: once the global scale of a
+/// [`ProfileEstimator`] reaches `2^FOLD_EXP`, the next
+/// [`observe`](ProfileEstimator::observe) folds it back into the weights.
+const FOLD_EXP: i32 = 64;
+/// `2^FOLD_EXP`, the scale at which a fold fires.
+const FOLD_AT: f64 = (1u128 << FOLD_EXP) as f64;
+/// `2^-FOLD_EXP`, the exact factor a fold multiplies by.
+const UNFOLD: f64 = 1.0 / FOLD_AT;
+
 /// Online profile learner: observes element accesses (e.g. from the mirror's
 /// request log) and maintains an exponentially decayed frequency estimate.
 ///
 /// This implements the paper's §7 remark that access patterns can come "from
 /// a simple learning algorithm that monitors the system request log". With
 /// `decay = 1.0` the estimator degenerates to plain counting.
+///
+/// The semantics are those of multiplying every count by `decay` before
+/// each increment: after accesses `e₁ … e_t`, element `i` counts
+/// `cᵢ = Σ_{k: e_k = i} decay^(t−k)`. The cost is not: each count is kept
+/// as `cᵢ = wᵢ/g` with one global growth factor `g`, so an access divides
+/// `g` by `decay` and adds `g` to one weight, O(1). When `g` reaches
+/// `2⁶⁴`, one O(N) pass multiplies every weight and `g` by the exact power
+/// `2⁻⁶⁴`; that changes no count (a power-of-two scale is exact above the
+/// subnormals) and runs once per `⌈64·ln 2/−ln decay⌉` accesses, about
+/// every 88,700 at 0.9995. At `decay = 1.0`, `g` stays exactly 1 and the
+/// weights are the plain counts.
 #[derive(Debug, Clone)]
 pub struct ProfileEstimator {
-    counts: Vec<f64>,
+    /// Per-element weights `wᵢ = cᵢ·g`.
+    weights: Vec<f64>,
+    /// The global growth factor `g`, kept in `[1, 2⁶⁴)` by `observe`.
+    scale: f64,
     decay: f64,
     observations: u64,
 }
 
 impl ProfileEstimator {
+    /// The smallest accepted decay, `2⁻⁶⁴`. From a scale below `2⁶⁴`, one
+    /// division by a decay at least this large stays below `2¹²⁸`, so one
+    /// fold brings the scale back under `2⁶⁴`. A smaller decay would
+    /// forget everything but the last access to within 10⁻¹⁹ anyway.
+    pub const MIN_DECAY: f64 = UNFOLD;
+
     /// Create an estimator over `n` elements with per-observation decay
-    /// factor `decay ∈ (0, 1]` applied to all counts before each increment.
+    /// factor `decay ∈ [MIN_DECAY, 1]`, applied (in effect) to all counts
+    /// before each increment. An access costs O(1), plus one O(N) fold per
+    /// `⌈64·ln 2/−ln decay⌉` accesses (never at `decay = 1.0`).
     pub fn new(n: usize, decay: f64) -> Result<Self> {
         if n == 0 {
             return Err(CoreError::Empty);
         }
-        if !decay.is_finite() || decay <= 0.0 || decay > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "decay",
-                index: None,
-                value: decay,
-            });
-        }
+        check_decay(decay)?;
         Ok(ProfileEstimator {
-            counts: vec![0.0; n],
+            weights: vec![0.0; n],
+            scale: 1.0,
             decay,
             observations: 0,
         })
@@ -224,14 +250,16 @@ impl ProfileEstimator {
     /// # Panics
     /// Panics when `element` is out of range.
     pub fn observe(&mut self, element: usize) {
-        assert!(element < self.counts.len(), "element out of range");
-        if self.decay < 1.0 {
-            for c in &mut self.counts {
-                *c *= self.decay;
-            }
-        }
-        self.counts[element] += 1.0;
+        assert!(element < self.weights.len(), "element out of range");
+        self.scale /= self.decay;
+        self.weights[element] += self.scale;
         self.observations += 1;
+        if self.scale >= FOLD_AT {
+            for w in &mut self.weights {
+                *w *= UNFOLD;
+            }
+            self.scale *= UNFOLD;
+        }
     }
 
     /// Record a batch of accesses (indices into the mirror).
@@ -249,11 +277,12 @@ impl ProfileEstimator {
     /// Current estimate as a master-profile-compatible probability vector,
     /// or `None` before any observation.
     pub fn access_probs(&self) -> Option<Vec<f64>> {
-        let total: f64 = self.counts.iter().sum();
+        // cᵢ/Σc = wᵢ/Σw: the scale cancels.
+        let total: f64 = self.weights.iter().sum();
         if total <= 0.0 {
             return None;
         }
-        Some(self.counts.iter().map(|c| c / total).collect())
+        Some(self.weights.iter().map(|w| w / total).collect())
     }
 
     /// Current estimate smoothed with a uniform prior: each element gets
@@ -262,45 +291,89 @@ impl ProfileEstimator {
     /// purely due to a cold log.
     pub fn access_probs_smoothed(&self, alpha: f64) -> Vec<f64> {
         assert!(alpha > 0.0, "alpha must be positive");
-        let total: f64 = self.counts.iter().sum::<f64>() + alpha * self.counts.len() as f64;
-        self.counts.iter().map(|c| (c + alpha) / total).collect()
+        // (cᵢ + α)/Σ(c + α) = (wᵢ + α·g)/Σ(w + α·g): the scale applies
+        // to the pseudo-count instead of every weight.
+        let pseudo = alpha * self.scale;
+        let total: f64 = self.weights.iter().sum::<f64>() + pseudo * self.weights.len() as f64;
+        self.weights.iter().map(|w| (w + pseudo) / total).collect()
     }
 
-    /// The decayed per-element counts — the checkpointable state.
-    pub fn counts(&self) -> &[f64] {
-        &self.counts
+    /// The decayed per-element counts `wᵢ/g`, materialized (O(N)).
+    pub fn counts(&self) -> Vec<f64> {
+        self.weights.iter().map(|w| w / self.scale).collect()
     }
 
-    /// Rebuild an estimator from checkpointed state. `decay` comes from
-    /// configuration; `counts`/`observations` are what
-    /// [`counts`](Self::counts) and
-    /// [`observations`](Self::observations) exported.
-    pub fn from_state(counts: Vec<f64>, decay: f64, observations: u64) -> Result<Self> {
-        if counts.is_empty() {
+    /// The raw per-element weights `wᵢ` — with [`scale`](Self::scale),
+    /// the checkpointable state.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// The global growth factor `g` (the counts are `wᵢ/g`), in `[1, 2⁶⁴)`.
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// Check checkpointed estimator state without building an estimator:
+    /// every weight finite and non-negative, and the scale finite and in
+    /// `[1, 2⁶⁴)`, the range [`observe`](Self::observe) keeps it in.
+    pub fn check_state(weights: &[f64], scale: f64) -> Result<()> {
+        if weights.is_empty() {
             return Err(CoreError::Empty);
         }
-        if !decay.is_finite() || decay <= 0.0 || decay > 1.0 {
+        if !(1.0..FOLD_AT).contains(&scale) {
             return Err(CoreError::InvalidValue {
-                what: "decay",
+                what: "profile scale",
                 index: None,
-                value: decay,
+                value: scale,
             });
         }
-        for (i, &c) in counts.iter().enumerate() {
-            if !c.is_finite() || c < 0.0 {
+        for (i, &w) in weights.iter().enumerate() {
+            if !w.is_finite() || w < 0.0 {
                 return Err(CoreError::InvalidValue {
-                    what: "profile count",
+                    what: "profile weight",
                     index: Some(i),
-                    value: c,
+                    value: w,
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Rebuild an estimator from checkpointed state. `decay` comes from
+    /// configuration; `weights`/`scale`/`observations` are what
+    /// [`weights`](Self::weights), [`scale`](Self::scale) and
+    /// [`observations`](Self::observations) exported, carried bit for bit
+    /// so the restored estimator folds at the same access as the one that
+    /// exported them. Invalid state is a [`CoreError`] (see
+    /// [`check_state`](Self::check_state)).
+    pub fn from_state(
+        weights: Vec<f64>,
+        scale: f64,
+        decay: f64,
+        observations: u64,
+    ) -> Result<Self> {
+        check_decay(decay)?;
+        Self::check_state(&weights, scale)?;
         Ok(ProfileEstimator {
-            counts,
+            weights,
+            scale,
             decay,
             observations,
         })
     }
+}
+
+/// `decay` must lie in `[MIN_DECAY, 1]`.
+fn check_decay(decay: f64) -> Result<()> {
+    if !(ProfileEstimator::MIN_DECAY..=1.0).contains(&decay) {
+        return Err(CoreError::InvalidValue {
+            what: "decay",
+            index: None,
+            value: decay,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -419,6 +492,190 @@ mod tests {
         assert!(ProfileEstimator::new(0, 1.0).is_err());
         assert!(ProfileEstimator::new(2, 0.0).is_err());
         assert!(ProfileEstimator::new(2, 1.5).is_err());
+        assert!(ProfileEstimator::new(2, f64::NAN).is_err());
+        assert!(ProfileEstimator::new(2, 1e-20).is_err());
+        assert!(ProfileEstimator::new(2, ProfileEstimator::MIN_DECAY).is_ok());
+    }
+
+    /// The per-access product the lazy fold stands for: every count
+    /// multiplied by `decay` before each increment.
+    struct Eager {
+        counts: Vec<f64>,
+        decay: f64,
+    }
+
+    impl Eager {
+        fn observe(&mut self, element: usize) {
+            for c in &mut self.counts {
+                *c *= self.decay;
+            }
+            self.counts[element] += 1.0;
+        }
+
+        fn smoothed(&self, alpha: f64) -> Vec<f64> {
+            let total: f64 = self.counts.iter().sum::<f64>() + alpha * self.counts.len() as f64;
+            self.counts.iter().map(|c| (c + alpha) / total).collect()
+        }
+    }
+
+    /// A skewed access stream whose hot set rotates every `period`
+    /// accesses, so old interest decays across folds.
+    fn skewed_stream(n: usize, len: usize, period: usize, seed: u64) -> Vec<usize> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        (0..len)
+            .map(|k| {
+                let rank = (n as f64 * rng.next_f64().powi(3)) as usize;
+                (rank + 7 * (k / period)) % n
+            })
+            .collect()
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * b.abs()
+    }
+
+    #[test]
+    fn lazy_fold_matches_the_per_access_product_across_folds() {
+        let (n, decay, alpha) = (64, 0.999, 0.5);
+        let mut lazy = ProfileEstimator::new(n, decay).unwrap();
+        let mut eager = Eager {
+            counts: vec![0.0; n],
+            decay,
+        };
+        let mut folds = 0;
+        for (k, &e) in skewed_stream(n, 200_000, 9_000, 11).iter().enumerate() {
+            let before = lazy.scale();
+            lazy.observe(e);
+            eager.observe(e);
+            let folded = lazy.scale() != before / decay;
+            folds += usize::from(folded);
+            if k % 4_999 != 0 && !folded {
+                continue;
+            }
+            let total: f64 = eager.counts.iter().sum();
+            for (i, (&l, &x)) in lazy.counts().iter().zip(&eager.counts).enumerate() {
+                if x > 1e-12 * total {
+                    assert!(close(l, x), "count {i} after {k}: {l} vs {x}");
+                }
+            }
+            let smoothed = lazy.access_probs_smoothed(alpha);
+            for (i, (&l, &x)) in smoothed.iter().zip(&eager.smoothed(alpha)).enumerate() {
+                assert!(close(l, x), "smoothed {i} after {k}: {l} vs {x}");
+            }
+        }
+        assert!(folds >= 3, "the stream crossed only {folds} folds");
+        assert_eq!(lazy.observations(), 200_000);
+    }
+
+    #[test]
+    fn decay_one_is_plain_counting_bit_for_bit() {
+        let n = 50;
+        let mut lazy = ProfileEstimator::new(n, 1.0).unwrap();
+        let mut plain = vec![0.0f64; n];
+        for &e in &skewed_stream(n, 20_000, 3_000, 5) {
+            lazy.observe(e);
+            plain[e] += 1.0;
+        }
+        assert_eq!(lazy.scale().to_bits(), 1.0f64.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lazy.counts()), bits(&plain));
+        assert_eq!(bits(lazy.weights()), bits(&plain));
+        let alpha = 0.01;
+        let total: f64 = plain.iter().sum::<f64>() + alpha * n as f64;
+        let expected: Vec<f64> = plain.iter().map(|c| (c + alpha) / total).collect();
+        assert_eq!(bits(&lazy.access_probs_smoothed(alpha)), bits(&expected));
+        let total: f64 = plain.iter().sum();
+        let expected: Vec<f64> = plain.iter().map(|c| c / total).collect();
+        assert_eq!(bits(&lazy.access_probs().unwrap()), bits(&expected));
+    }
+
+    #[test]
+    fn folds_come_every_ceil_k_ln2_over_minus_ln_decay_accesses() {
+        for decay in [0.5, 0.9, 0.99, 0.9995, UNFOLD] {
+            let every = (f64::from(FOLD_EXP) * std::f64::consts::LN_2 / -decay.ln()).ceil() as u64;
+            let mut e = ProfileEstimator::new(8, decay).unwrap();
+            let mut last_fold = 0u64;
+            let mut folds = 0;
+            for k in 1..=6 * every + 1 {
+                let (before, weights) = (e.scale(), e.weights().to_vec());
+                let element = (k % 8) as usize;
+                e.observe(element);
+                if e.scale() == before / decay {
+                    // No fold: the access wrote one weight and the scale.
+                    for (i, (a, b)) in e.weights().iter().zip(&weights).enumerate() {
+                        assert!(i == element || a.to_bits() == b.to_bits());
+                    }
+                    continue;
+                }
+                let gap = k - last_fold;
+                assert!(
+                    gap + 1 >= every && gap <= every + 1,
+                    "decay {decay}: fold after {gap} accesses, expected {every} ± 1"
+                );
+                assert!((1.0..FOLD_AT).contains(&e.scale()));
+                (last_fold, folds) = (k, folds + 1);
+            }
+            assert!(folds >= 5, "decay {decay}: {folds} folds");
+        }
+    }
+
+    #[test]
+    fn state_roundtrip_resumes_bit_identically_across_folds() {
+        let stream = skewed_stream(16, 3_000, 400, 3);
+        let mut whole = ProfileEstimator::new(16, 0.9).unwrap();
+        whole.observe_all(&stream);
+        for cut in [1, 421, 422, 1_000, 2_999] {
+            let mut head = ProfileEstimator::new(16, 0.9).unwrap();
+            head.observe_all(&stream[..cut]);
+            let mut resumed = ProfileEstimator::from_state(
+                head.weights().to_vec(),
+                head.scale(),
+                0.9,
+                head.observations(),
+            )
+            .unwrap();
+            resumed.observe_all(&stream[cut..]);
+            assert_eq!(resumed.scale().to_bits(), whole.scale().to_bits());
+            assert_eq!(resumed.observations(), whole.observations());
+            for (a, b) in resumed.weights().iter().zip(whole.weights()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_state_rejects_bad_scale_and_weights() {
+        let ok = vec![1.0, 0.0, 2.5];
+        assert!(ProfileEstimator::from_state(ok.clone(), 1.0, 0.9, 3).is_ok());
+        assert!(ProfileEstimator::from_state(ok.clone(), FOLD_AT * 0.75, 0.9, 3).is_ok());
+        for scale in [f64::NAN, f64::INFINITY, 0.0, 0.5, -1.0, FOLD_AT] {
+            assert!(
+                matches!(
+                    ProfileEstimator::from_state(ok.clone(), scale, 0.9, 3),
+                    Err(CoreError::InvalidValue {
+                        what: "profile scale",
+                        ..
+                    })
+                ),
+                "scale {scale}"
+            );
+        }
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let weights = vec![1.0, bad, 2.5];
+            assert!(
+                matches!(
+                    ProfileEstimator::from_state(weights, 1.0, 0.9, 3),
+                    Err(CoreError::InvalidValue {
+                        what: "profile weight",
+                        index: Some(1),
+                        ..
+                    })
+                ),
+                "weight {bad}"
+            );
+        }
+        assert!(ProfileEstimator::from_state(vec![], 1.0, 0.9, 0).is_err());
+        assert!(ProfileEstimator::from_state(ok, 1.0, 0.0, 3).is_err());
     }
 
     #[test]

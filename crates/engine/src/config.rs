@@ -2,6 +2,7 @@
 //! budget, and failure-injection knobs.
 
 use freshen_core::error::{CoreError, Result};
+use freshen_core::profile::ProfileEstimator;
 use freshen_obs::SloConfig;
 
 /// Which incremental change-rate estimator the engine maintains.
@@ -83,7 +84,9 @@ pub struct EngineConfig {
     /// Change-rate estimator choice.
     pub estimator: EstimatorKind,
     /// Per-observation decay of the access-profile counts (1.0 = plain
-    /// counting; slightly below 1.0 = exponential forgetting).
+    /// counting; slightly below 1.0 = exponential forgetting), in
+    /// `[ProfileEstimator::MIN_DECAY, 1]`. An access costs O(1) either way
+    /// (see [`ProfileEstimator`]).
     pub profile_decay: f64,
     /// Additive smoothing pseudo-count for the access profile (> 0 keeps
     /// never-accessed elements schedulable).
@@ -233,8 +236,7 @@ impl EngineConfig {
                 ));
             }
         }
-        if !self.profile_decay.is_finite() || self.profile_decay <= 0.0 || self.profile_decay > 1.0
-        {
+        if !(ProfileEstimator::MIN_DECAY..=1.0).contains(&self.profile_decay) {
             return Err(bad("profile decay", self.profile_decay));
         }
         if !self.smoothing.is_finite() || self.smoothing <= 0.0 {
@@ -332,6 +334,13 @@ mod tests {
             (
                 EngineConfig {
                     profile_decay: 0.0,
+                    ..ok.clone()
+                },
+                "decay",
+            ),
+            (
+                EngineConfig {
+                    profile_decay: 1e-20,
                     ..ok.clone()
                 },
                 "decay",

@@ -216,24 +216,26 @@ impl Engine {
         };
         // Operating levy: explicit `poll_cost`, or the shadow price γ* a
         // binding `cost_budget` implies on the prior (a pure function of
-        // the prior, so restores re-derive the same levy).
-        let levy = match config.cost_budget {
+        // the prior, so restores re-derive the same levy). Under a cap
+        // the initial schedule is the cost-budget solution itself: a
+        // fresh solve at its levy can land on the other side of a
+        // starvation threshold and overdraw the cap.
+        let scheduler = match config.cost_budget {
             Some(cap) => {
-                let solver = freshen_solver::LagrangeSolver::default();
-                solver
-                    .solve_cost_budget(prior, cap)?
-                    .cost_multiplier
-                    .unwrap_or(0.0)
+                let solution =
+                    freshen_solver::LagrangeSolver::default().solve_cost_budget(prior, cap)?;
+                let levy = solution.cost_multiplier.unwrap_or(0.0);
+                let monitor = DriftMonitor::new(prior, config.drift_threshold)?;
+                AdaptiveScheduler::from_state(solution, monitor, 1, 0, None)?.with_cost_weight(levy)
             }
-            None => config.poll_cost,
+            None => AdaptiveScheduler::new_costed(prior, config.drift_threshold, config.poll_cost)?,
         };
         Ok(Engine {
             bandwidth: prior.bandwidth(),
             costs: prior.poll_costs().map(<[f64]>::to_vec),
             profile: ProfileEstimator::new(n, config.profile_decay)?,
             rates: RateTracker::new(n, config.estimator, config.fallback_rate)?,
-            scheduler: AdaptiveScheduler::new_costed(prior, config.drift_threshold, levy)?
-                .with_repair_fraction(config.repair_fraction),
+            scheduler: scheduler.with_repair_fraction(config.repair_fraction),
             dispatcher: PollDispatcher::new(n, prior.bandwidth(), &config)?,
             recorder: Recorder::disabled(),
             executor: Executor::serial(),
@@ -492,21 +494,16 @@ impl Engine {
     /// only — wall clock never enters the sample.
     fn observe_epoch(&mut self, stats: &EpochStats, epoch_end: f64) {
         // Exact order statistics over the per-element ages at epoch end
-        // (time since last successful poll). O(n log n) on a vector the
-        // engine already owns — fine at epoch cadence.
+        // (time since last successful poll).
         let mut ages: Vec<f64> = self.last_poll.iter().map(|&t| epoch_end - t).collect();
-        ages.sort_unstable_by(f64::total_cmp);
-        let rank = |q: f64| {
-            let idx = ((q * ages.len() as f64).ceil() as usize).max(1) - 1;
-            ages[idx.min(ages.len() - 1)]
-        };
+        let (age_p50, age_p95, age_max) = age_quantiles(&mut ages);
         let mut sample = EpochSample {
             epoch: stats.index as u64,
             realized_pf: stats.realized_pf,
             drift: stats.drift,
-            age_p50: rank(0.50),
-            age_p95: rank(0.95),
-            age_max: ages[ages.len() - 1],
+            age_p50,
+            age_p95,
+            age_max,
             credit: self.dispatcher.total_credit(),
             resolves: self.scheduler.resolves() as u64,
             skips: self.scheduler.skips() as u64,
@@ -624,7 +621,8 @@ impl Engine {
         EngineState {
             last_poll: self.last_poll.clone(),
             estimator: self.rates.export(),
-            profile_counts: self.profile.counts().to_vec(),
+            profile_weights: self.profile.weights().to_vec(),
+            profile_scale: self.profile.scale(),
             profile_observations: self.profile.observations(),
             schedule: self.scheduler.schedule().clone(),
             baseline_probs: self.scheduler.monitor().baseline_probs().to_vec(),
@@ -670,11 +668,11 @@ impl Engine {
                 });
             }
         }
-        if state.profile_counts.len() != n {
+        if state.profile_weights.len() != n {
             return Err(CoreError::LengthMismatch {
-                what: "profile counts",
+                what: "profile weights",
                 expected: n,
-                actual: state.profile_counts.len(),
+                actual: state.profile_weights.len(),
             });
         }
         if state.baseline_probs.len() != n || state.schedule.frequencies.len() != n {
@@ -714,7 +712,8 @@ impl Engine {
         };
         let rates = RateTracker::restore(n, self.config.estimator, state.estimator)?;
         let profile = ProfileEstimator::from_state(
-            state.profile_counts,
+            state.profile_weights,
+            state.profile_scale,
             self.config.profile_decay,
             state.profile_observations,
         )?;
@@ -819,6 +818,25 @@ impl Engine {
     }
 }
 
+/// Exact nearest-rank p50 and p95, and the max, of non-empty `ages`, by
+/// selection in O(n) (reordering `ages`): one selection at the p95 rank,
+/// one at the p50 rank inside its left part, and the max of its right
+/// part. Under the total order equal keys have equal bits, so these are
+/// the values a full sort would read.
+fn age_quantiles(ages: &mut [f64]) -> (f64, f64, f64) {
+    let n = ages.len();
+    let rank = |q: f64| (((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1);
+    let (i50, i95) = (rank(0.50), rank(0.95));
+    let (left, &mut p95, right) = ages.select_nth_unstable_by(i95, f64::total_cmp);
+    let max = right.iter().copied().max_by(f64::total_cmp).unwrap_or(p95);
+    let p50 = if i50 < i95 {
+        *left.select_nth_unstable_by(i50, f64::total_cmp).1
+    } else {
+        p95
+    };
+    (p50, p95, max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,6 +859,37 @@ mod tests {
             warmup_epochs: 2,
             seed: 13,
             ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn age_quantiles_by_selection_match_the_sorted_ranks() {
+        let by_sort = |ages: &[f64]| {
+            let mut sorted = ages.to_vec();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let rank = |q: f64| {
+                let idx = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
+                sorted[idx.min(sorted.len() - 1)]
+            };
+            (rank(0.50), rank(0.95), sorted[sorted.len() - 1])
+        };
+        let mut rng = freshen_core::rng::SplitMix64::new(29);
+        let mut cases: Vec<Vec<f64>> =
+            vec![vec![3.5], vec![2.0, 1.0], vec![1.0, 1.0], vec![0.0, -0.0]];
+        for n in [3, 19, 20, 21, 100, 1_001] {
+            cases.push((0..n).map(|_| rng.range(0.0, 50.0)).collect());
+            // Heavy ties: a handful of distinct ages, signed zeros among them.
+            let levels = [0.0, -0.0, 1.5, 1.5, 7.25];
+            cases.push((0..n).map(|_| levels[rng.below(levels.len())]).collect());
+        }
+        for ages in cases {
+            let (p50, p95, max) = age_quantiles(&mut ages.clone());
+            let (s50, s95, smax) = by_sort(&ages);
+            assert_eq!(
+                [p50.to_bits(), p95.to_bits(), max.to_bits()],
+                [s50.to_bits(), s95.to_bits(), smax.to_bits()],
+                "ages {ages:?}"
+            );
         }
     }
 
@@ -1130,6 +1179,52 @@ mod tests {
     }
 
     #[test]
+    fn decayed_profile_resumes_byte_identically_at_every_epoch_across_folds() {
+        // At decay 0.9 the profile folds its scale every ~421 accesses;
+        // 400 accesses per period over 8 epochs crosses several folds.
+        // Export and restore into a fresh engine after every epoch: the
+        // chain must finish with the uninterrupted report byte for byte.
+        let n = 6;
+        let p = prior(n, 6.0);
+        let mut config = small_config();
+        config.profile_decay = 0.9;
+        config.failure_rate = 0.1;
+        let rates = [3.0, 3.0, 2.0, 2.0, 1.0, 1.0];
+        let horizon = config.horizon();
+        let make_accesses =
+            || LiveAccessStream::new(p.access_probs(), 400.0, 31, horizon).peekable();
+
+        let mut reference = Engine::new(&p, config.clone()).unwrap();
+        let mut ref_source = LivePollSource::new(&rates, 32, horizon).unwrap();
+        let expected = reference
+            .run(make_accesses(), &mut ref_source)
+            .unwrap()
+            .to_json();
+
+        let mut engine = Engine::new(&p, config.clone()).unwrap();
+        let mut source = LivePollSource::new(&rates, 32, horizon).unwrap();
+        let mut accesses = make_accesses();
+        while engine.epoch() < config.epochs {
+            engine.step(&mut accesses, &mut source).unwrap();
+            let state = engine.export_state();
+            let source_state = source.state();
+            engine = Engine::new(&p, config.clone()).unwrap();
+            engine.restore_state(state.clone()).unwrap();
+            assert_eq!(engine.export_state(), state);
+            source = LivePollSource::restore(&rates, 32, horizon, &source_state).unwrap();
+        }
+        assert_eq!(engine.report().to_json(), expected);
+        let state = engine.export_state();
+        assert!(
+            state.profile_observations >= 4 * 422,
+            "only {} accesses: fewer than three folds",
+            state.profile_observations
+        );
+        assert!(state.profile_scale > 1.0);
+        assert_eq!(state, reference.export_state());
+    }
+
+    #[test]
     fn cost_budget_engine_runs_at_the_cap_levy_and_resumes_byte_identically() {
         use freshen_core::audit::SolutionAudit;
         use freshen_core::policy::SyncPolicy;
@@ -1199,6 +1294,59 @@ mod tests {
             second.step(&mut accesses2, &mut source2).unwrap();
         }
         assert_eq!(second.report().to_json(), expected);
+    }
+
+    #[test]
+    fn cost_capped_engine_starts_on_the_cost_budget_solution() {
+        use freshen_solver::LagrangeSolver;
+
+        // The solver tests' `striped(1000, 2)` with per-poll costs
+        // `0.5 + 0.4·(i mod 7)`, cap 0.95 × the plain spend. At the cap's
+        // levy the bandwidth water level straddles a starvation
+        // threshold, so a fresh solve at that levy overdraws the cap
+        // (by 3.3e-8 of C); the engine must start on the cost-budget
+        // solution itself.
+        let n = 1000;
+        let striped = Problem::builder()
+            .change_rates(
+                (0..n)
+                    .map(|i| (0.1 + (i % 13) as f64 * 0.4) * if i % 5 == 0 { 2.0 } else { 1.0 })
+                    .collect(),
+            )
+            .access_weights((0..n).map(|i| 1.0 / (i + 1) as f64).collect())
+            .bandwidth(n as f64 / 3.0)
+            .build()
+            .unwrap();
+        let p = Problem::builder()
+            .change_rates(striped.change_rates().to_vec())
+            .access_probs(striped.access_probs().to_vec())
+            .costs((0..n).map(|i| 0.5 + 0.4 * (i % 7) as f64).collect())
+            .bandwidth(striped.bandwidth())
+            .build()
+            .unwrap();
+        let solver = LagrangeSolver::default();
+        let cap = 0.95 * p.cost_used(&solver.solve(&p).unwrap().frequencies);
+        let budgeted = solver.solve_cost_budget(&p, cap).unwrap();
+        let config = EngineConfig {
+            cost_budget: Some(cap),
+            ..small_config()
+        };
+        let engine = Engine::new(&p, config).unwrap();
+        let initial = engine.schedule();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&initial.frequencies), bits(&budgeted.frequencies));
+        assert_eq!(initial.multiplier, budgeted.multiplier);
+        assert_eq!(initial.cost_multiplier, budgeted.cost_multiplier);
+        assert_eq!(
+            engine.scheduler().cost_weight(),
+            budgeted.cost_multiplier.unwrap()
+        );
+        let spend = p.cost_used(&initial.frequencies);
+        assert!(
+            spend <= cap * (1.0 + solver.budget_tol),
+            "spend {spend} overdraws the cap {cap} by {:.2e} of it",
+            spend / cap - 1.0
+        );
     }
 
     #[test]
@@ -1276,6 +1424,18 @@ mod tests {
         let mut bad = good.clone();
         bad.history[2].index = 7;
         assert!(fresh.restore_state(bad).is_err());
+
+        // Profile state outside what `observe` keeps: a scale below 1,
+        // a non-finite scale, a negative weight.
+        for (scale, weight) in [(0.5, 1.0), (f64::INFINITY, 1.0), (1.0, -1.0)] {
+            let mut bad = good.clone();
+            bad.profile_scale = scale;
+            bad.profile_weights[1] = weight;
+            assert!(matches!(
+                fresh.restore_state(bad),
+                Err(CoreError::InvalidValue { .. })
+            ));
+        }
 
         // Estimator kind mismatch.
         let mut bad = good.clone();

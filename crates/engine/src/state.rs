@@ -76,8 +76,13 @@ pub struct EngineState {
     pub last_poll: Vec<f64>,
     /// Change-rate estimator state.
     pub estimator: EstimatorState,
-    /// Profile learner's decayed access counts.
-    pub profile_counts: Vec<f64>,
+    /// Profile learner's raw per-element weights `wᵢ`; the decayed
+    /// access counts are `wᵢ / profile_scale`. Carried raw, not as
+    /// counts, so a restored learner folds at the same access.
+    pub profile_weights: Vec<f64>,
+    /// Profile learner's global growth factor `g`, in `[1, 2⁶⁴)` (exactly
+    /// 1 at `profile_decay` 1.0).
+    pub profile_scale: f64,
     /// Profile learner's lifetime observation count.
     pub profile_observations: u64,
     /// The active schedule (frequencies + the warm-start multiplier).

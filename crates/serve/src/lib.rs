@@ -7,9 +7,9 @@
 //!
 //! 1. **Checkpoint/restore** ([`snapshot`]) — a versioned, CRC-checked
 //!    binary snapshot of everything the run carries across epochs:
-//!    estimator state, profile counts, drift baselines, the dispatcher's
-//!    credit ledger, the poll source's replay position, and the access
-//!    stream's consumed count. Snapshots are written atomically (temp
+//!    estimator state, the access profile's raw weights and scale, drift
+//!    baselines, the dispatcher's credit ledger, the poll source's replay
+//!    position, and the access stream's consumed count. Snapshots are written atomically (temp
 //!    file + rename) at epoch boundaries, where the engine's state
 //!    contract holds exactly. A run killed at epoch `k` and resumed
 //!    produces a final report **byte-identical** to an uninterrupted

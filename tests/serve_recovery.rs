@@ -95,6 +95,63 @@ fn kill_and_resume_is_byte_identical_at_every_boundary() {
 }
 
 #[test]
+fn decayed_profile_resumes_through_the_snapshot_at_every_boundary() {
+    // At profile decay 0.9 the learner folds its scale every ~421
+    // accesses, so 400 accesses per period cross a fold about every epoch.
+    // A kill at every boundary must resume through the snapshot's raw
+    // profile weights and scale to the uninterrupted report.
+    let dir = temp_dir("decayed-profile");
+    let workload = match live_workload(6) {
+        ServeWorkload::Live { problem, .. } => ServeWorkload::Live {
+            problem,
+            access_rate: 400.0,
+        },
+        other => other,
+    };
+    let epochs = 8;
+    let mut config = serve_config(&dir, epochs);
+    config.engine.profile_decay = 0.9;
+    let expected = reference_json(&workload, &config);
+    for kill_at in 1..epochs {
+        let mut first = config.clone();
+        first.drain_after = Some(kill_at);
+        let drained = Server::new(workload.clone(), first)
+            .expect("server builds")
+            .run()
+            .expect("drained leg");
+        assert_eq!(drained.exit, ExitReason::Drained);
+
+        let bytes = std::fs::read(&config.checkpoint_path).expect("snapshot bytes");
+        let snapshot = Snapshot::decode(&bytes).expect("valid snapshot");
+        assert_eq!(
+            snapshot.encode(),
+            bytes,
+            "kill at {kill_at}: codec identity"
+        );
+        assert!(snapshot.engine.profile_scale >= 1.0);
+
+        let mut second = config.clone();
+        second.resume = Some(config.checkpoint_path.clone());
+        let resumed = Server::new(workload.clone(), second)
+            .expect("server builds")
+            .run()
+            .expect("resumed leg");
+        assert_eq!(
+            resumed.report.expect("completed").to_json(),
+            expected,
+            "kill at epoch {kill_at}: resumed report diverged"
+        );
+        if kill_at == epochs - 1 {
+            assert!(
+                snapshot.engine.profile_observations >= 4 * 422,
+                "only {} accesses: fewer than three folds",
+                snapshot.engine.profile_observations
+            );
+        }
+    }
+}
+
+#[test]
 fn estimator_variants_and_cost_levy_resume_byte_identically() {
     // Format-V4 state: the LLN and SA estimators checkpoint different
     // sufficient statistics than EWMA, and a poll levy adds the schedule's
