@@ -1,6 +1,6 @@
 //! **Parallel scaling benchmark** — the Lagrange solve plus PF
 //! evaluation across mirror sizes and worker counts, with hot-path
-//! columns for incremental KKT repair and the calendar-queue dispatcher.
+//! columns for incremental KKT repair and the poll dispatcher.
 //!
 //! For each mirror size N the serial baseline is the global Lagrange
 //! solve followed by a serial PF evaluation; its wall time also yields
@@ -19,9 +19,11 @@
 //!   adaptive loop's other re-solve path, certified with the strict
 //!   [`SolutionAudit`]; its `solver_iterations` are repair's passes, and
 //!   the printed `speedup` column is warm re-solve time over repair time.
-//! * `dispatch/…` — run the allocation-free calendar-queue dispatcher
-//!   over the solved schedule for a few epochs and report events/sec
-//!   (single-thread; the dispatcher is serial by design).
+//! * `dispatch/…` — run the poll dispatcher (packed-key top-k admission,
+//!   drain in admission order merged with a retry heap) over the solved
+//!   schedule for a few epochs and report events/sec (single-thread; the
+//!   dispatcher is serial by design) and its scratch buffers'
+//!   `queue_grows`.
 //!
 //! A cell whose first run takes under [`REPEAT_BELOW_SECONDS`] is timed
 //! as the median of at least [`REPEATS`] runs that together take that
@@ -42,8 +44,8 @@ use freshen_engine::{EngineConfig, PollDispatcher, PollSource};
 use freshen_obs::Recorder;
 use freshen_solver::LagrangeSolver;
 
-/// Epochs driven through the dispatcher per size (first epoch warms the
-/// calendar queue's buckets; all epochs count toward throughput).
+/// Epochs driven through the dispatcher per size (the first epoch sizes
+/// its scratch buffers; all epochs count toward throughput).
 const DISPATCH_EPOCHS: usize = 3;
 
 /// Fewest runs timed per cell when its first run is short.
@@ -250,7 +252,7 @@ fn main() {
             tail_error: None,
         });
 
-        // Calendar-queue dispatcher throughput over the solved schedule
+        // Dispatcher throughput over the solved schedule
         // (single-thread by design: the drain is a serial total order).
         let config = EngineConfig {
             failure_rate: 0.05,

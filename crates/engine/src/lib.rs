@@ -56,7 +56,6 @@
 #![deny(unsafe_code)]
 
 pub mod audit;
-pub mod calendar;
 pub mod config;
 pub mod dispatch;
 pub mod report;
@@ -66,7 +65,6 @@ pub mod state;
 pub mod stream;
 
 pub use audit::{EpochLedger, LedgerAudit};
-pub use calendar::CalendarQueue;
 pub use config::{EngineConfig, EstimatorKind, ResolvePolicy};
 pub use dispatch::{EpochOutcome, ExecutedPoll, PollDispatcher};
 pub use report::{EngineReport, EpochStats};

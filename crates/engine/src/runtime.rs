@@ -347,7 +347,7 @@ impl Engine {
         let epoch_end = epoch_start + self.config.epoch_len;
 
         // 1. Execute the active schedule under the budget.
-        let freqs = self.scheduler.schedule().frequencies.clone();
+        let freqs = &self.scheduler.schedule().frequencies;
         let priorities: Vec<f64> = self
             .estimates
             .access_probs()
@@ -363,7 +363,7 @@ impl Engine {
             epoch,
             epoch_start,
             self.config.epoch_len,
-            &freqs,
+            freqs,
             &priorities,
             source,
             &self.recorder,
@@ -372,7 +372,7 @@ impl Engine {
             let record = ledger.record(
                 epoch,
                 credit_in.expect("sampled when the ledger is armed"),
-                &freqs,
+                freqs,
                 self.config.epoch_len,
                 &outcome,
                 self.dispatcher.total_credit(),

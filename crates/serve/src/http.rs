@@ -31,8 +31,9 @@
 //!
 //! Request parsing is hand-rolled and deliberately minimal: read the
 //! head up to `\r\n\r\n` (bounded), split the request line, ignore the
-//! body. Each connection gets one deadline from accept, so a trickling
-//! client holds the single accept thread for at most that long.
+//! body. Each connection gets one deadline from accept, over its reads
+//! and the response's writes, so a trickling client or a slow reader of
+//! a large body holds the single accept thread for at most that long.
 //! Control actions are edge-triggered flags on [`ControlShared`];
 //! the serve loop polls them between epochs, so the control plane never
 //! touches engine state directly and the epoch loop stays deterministic
@@ -47,6 +48,8 @@ use std::time::{Duration, Instant};
 
 use freshen_obs::{duration_us_buckets, prometheus, Recorder, TimeSeries};
 
+use crate::service::RenderedSchedule;
+
 /// Upper bound on a request head; anything longer is rejected with 431.
 const MAX_HEAD: usize = 8 * 1024;
 
@@ -56,10 +59,13 @@ const MAX_HEAD: usize = 8 * 1024;
 /// client can make the accept thread read and discard.
 const MAX_BODY: usize = 64 * 1024;
 /// Per-connection deadline, counted from accept: the head read, the body
-/// drain and the reject drain all stop by then, so a stalled or
-/// trickling client cannot wedge the accept loop. Also the timeout of
-/// each write.
+/// drain, the reject drain and every write of the response all stop by
+/// then, so a stalled, trickling or slowly reading client cannot wedge
+/// the accept loop.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
+/// Largest single write of a response; each one waits no later than the
+/// connection's deadline.
+const WRITE_CHUNK: usize = 64 * 1024;
 /// How long a reject drain waits for more bytes from a quiet client.
 const DRAIN_IDLE: Duration = Duration::from_millis(200);
 
@@ -70,8 +76,11 @@ const DRAIN_IDLE: Duration = Duration::from_millis(200);
 pub struct ControlShared {
     /// Current `/status` response body, refreshed each epoch.
     pub status: Mutex<String>,
-    /// Current `/schedule` response body, refreshed each epoch.
+    /// Current `/schedule` response body, re-rendered when the schedule
+    /// changes.
     pub schedule: Mutex<String>,
+    /// The schedule the `/schedule` body was rendered from.
+    pub(crate) rendered_schedule: Mutex<Option<RenderedSchedule>>,
     /// Current `/health` response body, refreshed each epoch.
     pub health: Mutex<String>,
     /// Mirror of the engine's telemetry ring, refreshed each epoch;
@@ -487,7 +496,6 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool, router: &Router, recor
         let Ok(mut stream) = stream else { continue };
         let started = Instant::now();
         requests.inc();
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         let _ = handle(&mut stream, router, started + IO_TIMEOUT);
         latency.observe(started.elapsed().as_secs_f64() * 1e6);
     }
@@ -572,7 +580,7 @@ fn handle(stream: &mut TcpStream, router: &Router, deadline: Instant) -> std::io
         }),
         None => Response::json(400, "{\"error\":\"bad percent-escape in path\"}"),
     };
-    write_response(stream, &response)
+    write_response(stream, &response, deadline)
 }
 
 /// Answer with a rejection, then drain whatever the client already sent
@@ -585,7 +593,7 @@ fn reject_and_drain(
     response: &Response,
     deadline: Instant,
 ) -> std::io::Result<()> {
-    let result = write_response(stream, response);
+    let result = write_response(stream, response, deadline);
     let mut scratch = [0u8; 512];
     let idle = || deadline.min(Instant::now() + DRAIN_IDLE);
     while matches!(read_by(stream, &mut scratch, idle()), Ok(n) if n > 0) {}
@@ -601,6 +609,26 @@ fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> std::io
     }
     stream.set_read_timeout(Some(left))?;
     stream.read(buf)
+}
+
+/// Write all of `bytes` in chunks, each waiting no later than `deadline`;
+/// fails with `TimedOut` once it has passed. A per-write timeout alone
+/// would restart with every chunk a slow reader accepts.
+fn write_by(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> std::io::Result<()> {
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(&bytes[..bytes.len().min(WRITE_CHUNK)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Extract `Content-Length` (case-insensitive) from a request head.
@@ -626,7 +654,11 @@ fn parse_content_length(head: &str) -> std::result::Result<usize, ()> {
 
 const JSON: &str = "application/json";
 
-fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+fn write_response(
+    stream: &mut TcpStream,
+    response: &Response,
+    deadline: Instant,
+) -> std::io::Result<()> {
     let reason = match response.status {
         200 => "OK",
         400 => "Bad Request",
@@ -649,8 +681,8 @@ fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Resul
         head.push_str("\r\n");
     }
     head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
+    write_by(stream, head.as_bytes(), deadline)?;
+    write_by(stream, response.body.as_bytes(), deadline)?;
     stream.flush()
 }
 
@@ -1002,6 +1034,74 @@ mod tests {
         );
         first.join().unwrap();
         second.join().unwrap();
+    }
+
+    #[test]
+    fn a_slow_reader_of_a_large_body_holds_the_accept_thread_no_longer_than_one_deadline() {
+        const BODY: usize = 32 << 20;
+        let (plane, shared, recorder) = start_test_plane();
+        *shared.schedule.lock().unwrap() = "x".repeat(BODY);
+        let addr = plane.local_addr();
+        let accepted = || recorder.counter_value("serve.requests").unwrap_or(0);
+        // Asks for the large body, then reads 64 KiB every 300 ms: every
+        // write makes progress well inside a per-write timeout. Once
+        // `hurry` is set it reads the rest at full speed, so it returns
+        // what the server wrote before closing. Returns once the accept
+        // thread has taken the connection.
+        let hurry = Arc::new(AtomicBool::new(false));
+        let slow_reader = || {
+            let before = accepted();
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(b"GET /schedule HTTP/1.1\r\n\r\n").unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let hurry = Arc::clone(&hurry);
+            let client = std::thread::spawn(move || {
+                let mut buf = vec![0u8; 64 * 1024];
+                let (mut received, started) = (0, Instant::now());
+                while let Ok(n @ 1..) = stream.read(&mut buf) {
+                    received += n;
+                    if !hurry.load(Ordering::SeqCst) {
+                        if started.elapsed() > Duration::from_secs(30) {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(300));
+                    }
+                }
+                received
+            });
+            while accepted() == before {
+                std::thread::yield_now();
+            }
+            client
+        };
+        let bound = IO_TIMEOUT + Duration::from_secs(1);
+
+        let first = slow_reader();
+        let started = Instant::now();
+        while !matches!(request(addr, "GET", "/health"), Ok((200, _))) {
+            assert!(
+                started.elapsed() < bound,
+                "/health is stuck behind a slow reader"
+            );
+        }
+        assert!(
+            started.elapsed() < bound,
+            "/health took {:?}",
+            started.elapsed()
+        );
+
+        let second = slow_reader();
+        let started = Instant::now();
+        plane.stop();
+        let waited = started.elapsed();
+        hurry.store(true, Ordering::SeqCst);
+        assert!(waited < bound, "stop() waited {waited:?}");
+        for reader in [first, second] {
+            let received = reader.join().unwrap();
+            assert!(received < BODY, "the reader got {received} of {BODY} bytes");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use freshen_core::error::{CoreError, Result};
 use freshen_core::exec::Executor;
-use freshen_core::problem::Problem;
+use freshen_core::problem::{Problem, Solution};
 use freshen_engine::stream::BoxedAccessStream;
 use freshen_engine::{
     replay_accesses, Engine, EngineConfig, EngineReport, LiveAccessStream, LivePollSource,
@@ -580,10 +580,63 @@ impl Server {
     }
 }
 
+/// The `/schedule` body for `schedule`: its frequencies, perceived
+/// freshness and bandwidth used, as shortest round-trip floats.
+pub(crate) fn schedule_json(schedule: &Solution) -> String {
+    let mut json = String::from("{\"frequencies\": [");
+    for (i, &f) in schedule.frequencies.iter().enumerate() {
+        if i > 0 {
+            json.push_str(", ");
+        }
+        push_f64(&mut json, f);
+    }
+    json.push_str("], \"perceived_freshness\": ");
+    push_f64(&mut json, schedule.perceived_freshness);
+    json.push_str(", \"bandwidth_used\": ");
+    push_f64(&mut json, schedule.bandwidth_used);
+    json.push('}');
+    json
+}
+
+/// The fields of the schedule a `/schedule` body shows, kept beside the
+/// body so that an unchanged schedule is not rendered again. They are
+/// compared bit for bit: a re-solve counter can repeat across a restore,
+/// and a hash can collide.
+#[derive(Debug)]
+pub(crate) struct RenderedSchedule {
+    frequencies: Vec<f64>,
+    perceived_freshness: f64,
+    bandwidth_used: f64,
+}
+
+impl RenderedSchedule {
+    fn of(schedule: &Solution) -> Self {
+        RenderedSchedule {
+            frequencies: schedule.frequencies.clone(),
+            perceived_freshness: schedule.perceived_freshness,
+            bandwidth_used: schedule.bandwidth_used,
+        }
+    }
+
+    fn shows(&self, schedule: &Solution) -> bool {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        same(self.perceived_freshness, schedule.perceived_freshness)
+            && same(self.bandwidth_used, schedule.bandwidth_used)
+            && self.frequencies.len() == schedule.frequencies.len()
+            && self
+                .frequencies
+                .iter()
+                .zip(&schedule.frequencies)
+                .all(|(&a, &b)| same(a, b))
+    }
+}
+
 /// Publish the standard control-plane views for one engine into a
 /// [`ControlShared`]: `/status`, `/schedule`, `/health` (plus the breach
-/// flag), and the telemetry series. Every [`Tenant`] publishes through
-/// it, so a fleet tenant's views read identically to a solo run's.
+/// flag), and the telemetry series. The `/schedule` body is rendered
+/// again only when the engine's schedule differs from the one it shows.
+/// Every [`Tenant`] publishes through it, so a fleet tenant's views read
+/// identically to a solo run's.
 pub fn publish_engine_views(
     shared: &ControlShared,
     engine: &Engine,
@@ -606,23 +659,21 @@ pub fn publish_engine_views(
         last.is_some_and(|e| e.resolved)
     );
     let schedule = engine.schedule();
-    let mut schedule_json = String::from("{\"frequencies\": [");
-    for (i, &f) in schedule.frequencies.iter().enumerate() {
-        if i > 0 {
-            schedule_json.push_str(", ");
-        }
-        push_f64(&mut schedule_json, f);
-    }
-    schedule_json.push_str("], \"perceived_freshness\": ");
-    push_f64(&mut schedule_json, schedule.perceived_freshness);
-    schedule_json.push_str(", \"bandwidth_used\": ");
-    push_f64(&mut schedule_json, schedule.bandwidth_used);
-    schedule_json.push('}');
+    let changed = shared
+        .rendered_schedule
+        .lock()
+        .is_ok_and(|rendered| !rendered.as_ref().is_some_and(|r| r.shows(schedule)));
+    let schedule_body = changed.then(|| schedule_json(schedule));
     if let Ok(mut view) = shared.status.lock() {
         *view = status;
     }
-    if let Ok(mut view) = shared.schedule.lock() {
-        *view = schedule_json;
+    if let Some(body) = schedule_body {
+        if let (Ok(mut view), Ok(mut rendered)) =
+            (shared.schedule.lock(), shared.rendered_schedule.lock())
+        {
+            *view = body;
+            *rendered = Some(RenderedSchedule::of(schedule));
+        }
     }
     if let Ok(mut view) = shared.health.lock() {
         *view = engine.health_json().unwrap_or_default();
@@ -891,5 +942,78 @@ mod tests {
         assert_eq!(outcome.exit, ExitReason::Drained);
         assert_eq!(outcome.epochs_run, 0, "shutdown wins before the first step");
         assert_eq!(outcome.checkpoints, 1, "drain still snapshots");
+    }
+
+    #[test]
+    fn the_schedule_view_follows_re_solves_and_restores_and_is_kept_otherwise() {
+        // The engine starts from a flat prior and learns a skewed truth,
+        // so the drift gate re-solves on some epochs and not on others.
+        let ServeWorkload::Live {
+            problem,
+            access_rate,
+        } = live_workload(8)
+        else {
+            unreachable!()
+        };
+        let prior = Problem::builder()
+            .change_rates(vec![1.0; 8])
+            .access_weights(vec![1.0; 8])
+            .bandwidth(8.0)
+            .build()
+            .unwrap();
+        let config = EngineConfig {
+            epochs: 30,
+            warmup_epochs: 1,
+            seed: 21,
+            ..EngineConfig::default()
+        };
+        let horizon = config.horizon();
+        let mut accesses = LiveAccessStream::new(
+            problem.access_probs(),
+            access_rate,
+            config.seed ^ ACCESS_SEED_SALT,
+            horizon,
+        )
+        .peekable();
+        let mut source = LivePollSource::new(
+            problem.change_rates(),
+            config.seed ^ POLL_SEED_SALT,
+            horizon,
+        )
+        .unwrap();
+        let mut engine = Engine::new(&prior, config).unwrap();
+        let shared = ControlShared::default();
+        let body = || shared.schedule.lock().unwrap().clone();
+        let body_ptr = || shared.schedule.lock().unwrap().as_ptr();
+        let publish = |engine: &Engine| publish_engine_views(&shared, engine, 30, 8, 0, "running");
+
+        publish(&engine);
+        assert_eq!(body(), schedule_json(engine.schedule()));
+        let first = engine.export_state();
+        let (mut resolved, mut kept) = (0, 0);
+        for _ in 0..30 {
+            let before = body_ptr();
+            let stats = engine.step(&mut accesses, &mut source).unwrap();
+            publish(&engine);
+            assert_eq!(
+                body(),
+                schedule_json(engine.schedule()),
+                "epoch {}",
+                stats.index
+            );
+            if stats.resolved {
+                resolved += 1;
+            } else {
+                assert_eq!(body_ptr(), before, "epoch {}: re-rendered", stats.index);
+                kept += 1;
+            }
+        }
+        assert!(resolved > 0 && kept > 0, "resolved {resolved}, kept {kept}");
+
+        let last = body();
+        engine.restore_state(first).unwrap();
+        publish(&engine);
+        assert_eq!(body(), schedule_json(engine.schedule()));
+        assert_ne!(body(), last, "the restored schedule differs");
     }
 }
