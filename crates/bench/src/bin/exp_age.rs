@@ -18,25 +18,25 @@
 //! data.
 
 use freshen_bench::{header, parallel_map, row, THETA_GRID};
+use freshen_core::exec::Executor;
 use freshen_core::freshness::steady_state_age;
+use freshen_core::policy::sum_terms;
 use freshen_core::problem::Problem;
 use freshen_solver::{solve_general_freshness, solve_perceived_freshness};
 use freshen_workload::scenario::{Alignment, Scenario};
 
 /// (starved interest mass, finite-part perceived age) for a schedule.
 fn age_components(problem: &Problem, freqs: &[f64]) -> (f64, f64) {
-    let mut starved_mass = 0.0;
-    let mut finite_age = 0.0;
-    for (i, e) in problem.elements().enumerate() {
-        if e.change_rate <= 0.0 || e.access_prob == 0.0 {
-            continue;
-        }
-        if freqs[i] <= 0.0 {
-            starved_mass += e.access_prob;
+    let columns = [problem.access_probs(), problem.change_rates(), freqs];
+    let [starved_mass, finite_age] = sum_terms(columns, &Executor::serial(), |[p, lam, f]| {
+        if lam <= 0.0 || p == 0.0 {
+            [0.0, 0.0]
+        } else if f <= 0.0 {
+            [p, 0.0]
         } else {
-            finite_age += e.access_prob * steady_state_age(e.change_rate, freqs[i]);
+            [0.0, p * steady_state_age(lam, f)]
         }
-    }
+    });
     (starved_mass, finite_age)
 }
 

@@ -38,6 +38,7 @@
 
 use freshen_bench::{header, row, timed, BenchReport, BenchRun};
 use freshen_core::exec::Executor;
+use freshen_core::policy::SyncPolicy;
 use freshen_core::problem::Problem;
 use freshen_core::SolutionAudit;
 use freshen_engine::{EngineConfig, PollDispatcher, PollSource};
@@ -321,7 +322,11 @@ fn main() {
             };
             let (pf, recorder, wall) = median_timed(pool_solver, |(solver, executor)| {
                 let solution = solver.solve(&problem).expect("pool solve");
-                problem.perceived_freshness_exec(&solution.frequencies, executor)
+                problem.perceived_freshness_with(
+                    SyncPolicy::FixedOrder,
+                    &solution.frequencies,
+                    executor,
+                )
             });
             let speedup = serial_wall / wall.max(f64::MIN_POSITIVE);
             let parity = (pf - serial_pf).abs();

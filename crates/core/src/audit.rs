@@ -451,6 +451,7 @@ impl SolutionAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
 
     /// Two identical elements: by symmetry the even split is the exact
     /// optimum, so the strict certificate must come back clean.
@@ -491,7 +492,8 @@ mod tests {
             .bandwidth(budget)
             .build()
             .unwrap();
-        let mut solution = Solution::evaluate_with_policy(&problem, freqs, SyncPolicy::Poisson);
+        let mut solution =
+            Solution::evaluate_with(&problem, freqs, SyncPolicy::Poisson, &Executor::serial());
         solution.multiplier = Some(mu);
         let report = SolutionAudit::default()
             .check(&problem, &solution, SyncPolicy::Poisson)
@@ -631,7 +633,8 @@ mod tests {
             .bandwidth(budget)
             .build()
             .unwrap();
-        let mut solution = Solution::evaluate_with_policy(&problem, freqs, SyncPolicy::Poisson);
+        let mut solution =
+            Solution::evaluate_with(&problem, freqs, SyncPolicy::Poisson, &Executor::serial());
         solution.multiplier = Some(mu);
         let report = SolutionAudit::default()
             .check_with_cost(&problem, &solution, SyncPolicy::Poisson, gamma)
@@ -665,7 +668,8 @@ mod tests {
             .bandwidth(used * 2.0) // twice what the interior optimum needs
             .build()
             .unwrap();
-        let mut solution = Solution::evaluate_with_policy(&problem, freqs, SyncPolicy::Poisson);
+        let mut solution =
+            Solution::evaluate_with(&problem, freqs, SyncPolicy::Poisson, &Executor::serial());
         solution.multiplier = Some(0.0);
         let report = SolutionAudit::default()
             .check_with_cost(&problem, &solution, SyncPolicy::Poisson, gamma)

@@ -4,7 +4,7 @@
 //! partition statistics, k-means passes, PF scoring) is shaped the same
 //! way: an embarrassingly parallel map over element indices, sometimes
 //! followed by a reduction. `Executor` packages exactly that shape behind
-//! two primitives — [`par_map`](Executor::par_map) and
+//! two primitives — [`par_map_index`](Executor::par_map_index) and
 //! [`par_chunks_reduce`](Executor::par_chunks_reduce) — with one hard
 //! rule that makes parallelism safe to thread through numerical code:
 //!
@@ -50,9 +50,9 @@ pub const DEFAULT_CHUNK: usize = 8_192;
 /// worker count.
 pub const THREADS_ENV: &str = "FRESHEN_THREADS";
 
-/// Minimum per-worker slice of a `par_map`; below this, splitting further
-/// only adds scheduling overhead. Affects load balancing only, never
-/// results.
+/// Minimum per-worker slice of a `par_map_index`; below this, splitting
+/// further only adds scheduling overhead. Affects load balancing only,
+/// never results.
 const MIN_MAP_CHUNK: usize = 1_024;
 
 /// A serial or thread-pool execution strategy for data-parallel loops.
@@ -210,16 +210,6 @@ impl Executor {
         out
     }
 
-    /// Map `f` over a slice, preserving input order in the output.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.par_map_index(items.len(), |i| f(&items[i]))
-    }
-
     /// Split `0..len` into fixed chunks of `chunk` elements, map each
     /// chunk to a partial result, then fold the partials **in chunk
     /// order** on the calling thread. Because the boundaries depend only
@@ -338,17 +328,15 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order_on_pool() {
-        let items: Vec<usize> = (0..10_000).collect();
-        let serial = Executor::serial().par_map(&items, |&x| x * 3);
-        let pooled = Executor::thread_pool(4).par_map(&items, |&x| x * 3);
+        let serial = Executor::serial().par_map_index(10_000, |x| x * 3);
+        let pooled = Executor::thread_pool(4).par_map_index(10_000, |x| x * 3);
         assert_eq!(serial, pooled);
         assert_eq!(serial[1234], 3702);
     }
 
     #[test]
     fn par_map_empty_and_tiny() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(Executor::thread_pool(8).par_map(&empty, |&x| x).is_empty());
+        assert!(Executor::thread_pool(8).par_map_index(0, |x| x).is_empty());
         assert_eq!(
             Executor::thread_pool(8).par_map_index(3, |i| i + 1),
             vec![1, 2, 3]

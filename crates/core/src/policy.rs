@@ -15,6 +15,10 @@
 //! too early or too late. The ablation binary `exp_policy` and the
 //! simulator's [`freshen-sim`](https://docs.rs) Poisson mode quantify the
 //! gap end to end.
+//!
+//! Every sum of freshness or age terms (PF, GF, perceived age) runs
+//! through [`sum_terms`], so a schedule scores the same bits whichever
+//! entry point or executor scored it.
 
 use crate::exec::{Executor, DEFAULT_CHUNK};
 use crate::freshness::{freshness_gradient, freshness_second_derivative, steady_state_freshness};
@@ -107,125 +111,107 @@ impl SyncPolicy {
         }
     }
 
-    /// Perceived freshness `Σ wᵢ·F̄(λᵢ, fᵢ)` under this policy
-    /// (compensated summation).
-    pub fn perceived_freshness(&self, weights: &[f64], lambdas: &[f64], freqs: &[f64]) -> f64 {
-        assert_eq!(
-            weights.len(),
-            lambdas.len(),
-            "weights/lambdas length mismatch"
-        );
-        assert_eq!(weights.len(), freqs.len(), "weights/freqs length mismatch");
-        let mut acc = NeumaierSum::new();
-        for ((&w, &l), &f) in weights.iter().zip(lambdas).zip(freqs) {
-            if w != 0.0 {
-                acc.add(w * self.freshness(l, f));
-            }
-        }
-        acc.total()
-    }
-
-    /// Chunked-parallel [`perceived_freshness`](Self::perceived_freshness):
-    /// per-chunk compensated partials merged in fixed chunk order, so the
-    /// result is identical at any worker count.
-    pub fn perceived_freshness_exec(
+    /// Perceived freshness `Σ wᵢ·F̄(λᵢ, fᵢ)` under this policy, summed by
+    /// [`sum_terms`] on `executor`.
+    pub fn perceived_freshness(
         &self,
         weights: &[f64],
         lambdas: &[f64],
         freqs: &[f64],
         executor: &Executor,
     ) -> f64 {
-        assert_eq!(
-            weights.len(),
-            lambdas.len(),
-            "weights/lambdas length mismatch"
-        );
-        assert_eq!(weights.len(), freqs.len(), "weights/freqs length mismatch");
-        executor
-            .par_chunks_reduce(
-                weights.len(),
-                DEFAULT_CHUNK,
-                |range| {
-                    let mut acc = NeumaierSum::new();
-                    for i in range {
-                        let w = weights[i];
-                        if w != 0.0 {
-                            acc.add(w * self.freshness(lambdas[i], freqs[i]));
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    a.merge(b);
-                    a
-                },
-            )
-            .map_or(0.0, |acc| acc.total())
+        let [pf] = sum_terms([weights, lambdas, freqs], executor, |[w, l, f]| {
+            [weighted(w, || self.freshness(l, f))]
+        });
+        pf
     }
 
-    /// Chunked-parallel perceived **age** `Σ wᵢ·Ā(λᵢ, fᵢ)` under this
-    /// policy, skipping zero-weight elements (whose infinite age at `f = 0`
-    /// must not poison the profile-weighted mean).
-    pub fn perceived_age_exec(
+    /// Perceived **age** `Σ wᵢ·Ā(λᵢ, fᵢ)` under this policy, summed by
+    /// [`sum_terms`] on `executor`. Infinite as soon as a read element
+    /// (`wᵢ > 0`) that changes gets no bandwidth.
+    pub fn perceived_age(
         &self,
         weights: &[f64],
         lambdas: &[f64],
         freqs: &[f64],
         executor: &Executor,
     ) -> f64 {
-        assert_eq!(
-            weights.len(),
-            lambdas.len(),
-            "weights/lambdas length mismatch"
-        );
-        assert_eq!(weights.len(), freqs.len(), "weights/freqs length mismatch");
-        executor
-            .par_chunks_reduce(
-                weights.len(),
-                DEFAULT_CHUNK,
-                |range| {
-                    let mut acc = NeumaierSum::new();
-                    for i in range {
-                        let w = weights[i];
-                        if w != 0.0 {
-                            acc.add(w * self.age(lambdas[i], freqs[i]));
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    a.merge(b);
-                    a
-                },
-            )
-            .map_or(0.0, |acc| acc.total())
+        let [age] = sum_terms([weights, lambdas, freqs], executor, |[w, l, f]| {
+            [weighted(w, || self.age(l, f))]
+        });
+        age
     }
 
-    /// Chunked-parallel unweighted mean freshness (the general-freshness
-    /// metric) under this policy.
-    pub fn mean_freshness_exec(&self, lambdas: &[f64], freqs: &[f64], executor: &Executor) -> f64 {
-        assert_eq!(lambdas.len(), freqs.len(), "lambdas/freqs length mismatch");
+    /// Unweighted mean freshness `Σ F̄(λᵢ, fᵢ) / N` (the general-freshness
+    /// metric) under this policy, summed by [`sum_terms`] on `executor`;
+    /// 0 for no elements.
+    pub fn mean_freshness(&self, lambdas: &[f64], freqs: &[f64], executor: &Executor) -> f64 {
+        let [total] = sum_terms([lambdas, freqs], executor, |[l, f]| [self.freshness(l, f)]);
         if lambdas.is_empty() {
-            return 0.0;
+            0.0
+        } else {
+            total / lambdas.len() as f64
         }
-        executor
-            .par_chunks_reduce(
-                lambdas.len(),
-                DEFAULT_CHUNK,
-                |range| {
-                    let mut acc = NeumaierSum::new();
-                    for i in range {
-                        acc.add(self.freshness(lambdas[i], freqs[i]));
+    }
+}
+
+/// Compensated sums of `K` per-element terms over `C` equal-length
+/// columns: the one order in which the workspace sums freshness and age.
+/// The columns are cut into chunks of [`DEFAULT_CHUNK`] elements, each
+/// chunk keeps one [`NeumaierSum`] per term, and the partials are merged
+/// in chunk order on the calling thread ([`Executor::par_chunks_reduce`]),
+/// so every executor, serial or pooled, returns the same bits. `terms`
+/// maps one element's column values to its terms and runs once per
+/// element, so one pass can sum several metrics that share a per-element
+/// value.
+///
+/// # Panics
+/// Panics when the columns differ in length.
+pub fn sum_terms<const C: usize, const K: usize>(
+    columns: [&[f64]; C],
+    executor: &Executor,
+    terms: impl Fn([f64; C]) -> [f64; K] + Sync,
+) -> [f64; K] {
+    let len = columns.first().map_or(0, |c| c.len());
+    assert!(
+        columns.iter().all(|c| c.len() == len),
+        "column length mismatch: {:?}",
+        columns.map(<[f64]>::len)
+    );
+    executor
+        .par_chunks_reduce(
+            len,
+            DEFAULT_CHUNK,
+            |range| {
+                // Cut every column to the chunk, so the loop indexes them
+                // without bounds checks.
+                let chunk = columns.map(|c| &c[range.clone()]);
+                let mut acc = [NeumaierSum::new(); K];
+                for i in 0..range.len() {
+                    for (sum, term) in acc.iter_mut().zip(terms(chunk.map(|c| c[i]))) {
+                        sum.add(term);
                     }
-                    acc
-                },
-                |mut a, b| {
+                }
+                acc
+            },
+            |mut a, b| {
+                for (a, b) in a.iter_mut().zip(b) {
                     a.merge(b);
-                    a
-                },
-            )
-            .map_or(0.0, |acc| acc.total())
-            / lambdas.len() as f64
+                }
+                a
+            },
+        )
+        .map_or([0.0; K], |acc| acc.map(|a| a.total()))
+}
+
+/// `w·x()`, or exactly 0 without evaluating `x` when `w` is 0: an element
+/// nobody reads adds nothing, not even the infinite age of a starved one.
+#[inline]
+pub(crate) fn weighted(w: f64, x: impl FnOnce() -> f64) -> f64 {
+    if w == 0.0 {
+        0.0
+    } else {
+        w * x()
     }
 }
 
@@ -302,7 +288,12 @@ mod tests {
 
     #[test]
     fn perceived_freshness_weighted_sum() {
-        let pf = SyncPolicy::Poisson.perceived_freshness(&[0.5, 0.5], &[1.0, 1.0], &[1.0, 3.0]);
+        let pf = SyncPolicy::Poisson.perceived_freshness(
+            &[0.5, 0.5],
+            &[1.0, 1.0],
+            &[1.0, 3.0],
+            &Executor::serial(),
+        );
         assert!((pf - 0.5 * (0.5 + 0.75)).abs() < 1e-12);
     }
 

@@ -19,7 +19,7 @@ use crate::exec::Executor;
 use crate::freshness::{general_freshness, perceived_freshness};
 use crate::json::Json;
 use crate::numeric::neumaier_sum;
-use crate::policy::SyncPolicy;
+use crate::policy::{sum_terms, weighted, SyncPolicy};
 
 /// Tolerance used when checking that access probabilities sum to one.
 pub const PROB_SUM_TOL: f64 = 1e-6;
@@ -189,31 +189,21 @@ impl Problem {
     }
 
     /// Perceived freshness of an allocation against this problem's profile
-    /// (Fixed-Order policy, the paper's default).
+    /// (Fixed-Order policy, the paper's default), summed serially.
     pub fn perceived_freshness(&self, freqs: &[f64]) -> f64 {
         perceived_freshness(&self.access_probs, &self.change_rates, freqs)
     }
 
-    /// Perceived freshness under an explicit synchronization policy.
-    pub fn perceived_freshness_with(&self, policy: SyncPolicy, freqs: &[f64]) -> f64 {
-        policy.perceived_freshness(&self.access_probs, &self.change_rates, freqs)
-    }
-
-    /// Chunked-parallel perceived freshness (Fixed-Order policy). Produces
-    /// the same result at any worker count — see [`crate::exec`] for the
-    /// determinism rule.
-    pub fn perceived_freshness_exec(&self, freqs: &[f64], executor: &Executor) -> f64 {
-        self.perceived_freshness_with_exec(SyncPolicy::FixedOrder, freqs, executor)
-    }
-
-    /// Chunked-parallel perceived freshness under an explicit policy.
-    pub fn perceived_freshness_with_exec(
+    /// Perceived freshness under an explicit synchronization policy,
+    /// summed on `executor`: the same bits at any worker count — see
+    /// [`sum_terms`].
+    pub fn perceived_freshness_with(
         &self,
         policy: SyncPolicy,
         freqs: &[f64],
         executor: &Executor,
     ) -> f64 {
-        policy.perceived_freshness_exec(&self.access_probs, &self.change_rates, freqs, executor)
+        policy.perceived_freshness(&self.access_probs, &self.change_rates, freqs, executor)
     }
 
     /// Interest-blind average freshness of an allocation (Definition 2).
@@ -604,62 +594,36 @@ pub struct Solution {
 
 impl Solution {
     /// Score an allocation against a problem, producing a [`Solution`]
-    /// record with metrics filled in (Fixed-Order policy).
+    /// record with metrics filled in (Fixed-Order policy, serial).
     pub fn evaluate(problem: &Problem, frequencies: Vec<f64>) -> Solution {
-        Self::evaluate_with_policy(problem, frequencies, SyncPolicy::FixedOrder)
-    }
-
-    /// Score an allocation under an explicit synchronization policy.
-    pub fn evaluate_with_policy(
-        problem: &Problem,
-        frequencies: Vec<f64>,
-        policy: SyncPolicy,
-    ) -> Solution {
-        assert_eq!(
-            frequencies.len(),
-            problem.len(),
-            "frequencies length mismatch"
-        );
-        let pf = problem.perceived_freshness_with(policy, &frequencies);
-        let gf = {
-            let n = problem.len() as f64;
-            let uniform = vec![1.0 / n; problem.len()];
-            policy.perceived_freshness(&uniform, problem.change_rates(), &frequencies)
-        };
-        let used = problem.bandwidth_used(&frequencies);
-        Solution {
+        Self::evaluate_with(
+            problem,
             frequencies,
-            perceived_freshness: pf,
-            general_freshness: gf,
-            bandwidth_used: used,
-            multiplier: None,
-            cost_multiplier: None,
-            iterations: 0,
-        }
+            SyncPolicy::FixedOrder,
+            &Executor::serial(),
+        )
     }
 
-    /// Score an allocation with chunked-parallel PF/GF evaluation. The
-    /// metrics equal [`evaluate_with_policy`](Self::evaluate_with_policy)
-    /// up to the fixed-chunk reduction order and are identical at any
-    /// worker count.
-    pub fn evaluate_with_policy_exec(
+    /// Score an allocation under `policy` on `executor`. PF and GF
+    /// (`Σ F̄ᵢ/N`) come from one [`sum_terms`] pass that evaluates each
+    /// `F̄ᵢ` once, so they equal [`Problem::perceived_freshness_with`] and
+    /// [`SyncPolicy::mean_freshness`] bit for bit at any worker count.
+    pub fn evaluate_with(
         problem: &Problem,
         frequencies: Vec<f64>,
         policy: SyncPolicy,
         executor: &Executor,
     ) -> Solution {
-        assert_eq!(
-            frequencies.len(),
-            problem.len(),
-            "frequencies length mismatch"
-        );
-        let pf = problem.perceived_freshness_with_exec(policy, &frequencies, executor);
-        let gf = policy.mean_freshness_exec(problem.change_rates(), &frequencies, executor);
+        let columns = [problem.access_probs(), problem.change_rates(), &frequencies];
+        let [pf, total] = sum_terms(columns, executor, |[p, l, f]| {
+            let fresh = policy.freshness(l, f);
+            [weighted(p, || fresh), fresh]
+        });
         let used = problem.bandwidth_used(&frequencies);
         Solution {
             frequencies,
             perceived_freshness: pf,
-            general_freshness: gf,
+            general_freshness: total / problem.len() as f64,
             bandwidth_used: used,
             multiplier: None,
             cost_multiplier: None,

@@ -48,9 +48,10 @@
 //! can never overwrite a fresher copy delivered by another path.
 
 use crate::error::{CoreError, Result};
+use crate::exec::Executor;
 use crate::json::Json;
 use crate::numeric::NeumaierSum;
-use crate::policy::SyncPolicy;
+use crate::policy::{sum_terms, SyncPolicy};
 use crate::problem::{Problem, ProblemBuilder};
 
 /// One directed hop: `to` polls `from` over this link, optionally for
@@ -278,7 +279,7 @@ impl Topology {
         Ok(fresh)
     }
 
-    /// Perceived freshness `Σ pᵢ·Fᵢ` at each node (compensated sum).
+    /// Perceived freshness `Σ pᵢ·Fᵢ` at each node, summed by [`sum_terms`].
     pub fn node_pf(
         &self,
         problem: &Problem,
@@ -289,15 +290,7 @@ impl Topology {
         let p = problem.access_probs();
         Ok(fresh
             .iter()
-            .map(|row| {
-                let mut acc = NeumaierSum::new();
-                for (w, f) in p.iter().zip(row) {
-                    if *w != 0.0 {
-                        acc.add(w * f);
-                    }
-                }
-                acc.total()
-            })
+            .map(|row| sum_terms([p, row], &Executor::serial(), |[p, f]| [p * f])[0])
             .collect())
     }
 

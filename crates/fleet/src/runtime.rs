@@ -419,14 +419,16 @@ impl Host for FleetHost<'_> {
             *view = format!(
                 "{{\"state\": \"{fleet_state}\", \"round\": {round}, \"tenants\": {}, \"completed\": {completed}, \"quarantined\": {quarantined}, \"checkpoints\": {checkpoints}}}",
                 rows.len(),
-            );
+            )
+            .into();
         }
         if let Ok(mut view) = shared.health.lock() {
             *view = format!(
                 "{{\"state\": \"{}\", \"tenants\": {}, \"breached\": {breached}, \"quarantined\": {quarantined}}}\n",
                 if breached > 0 { "breach" } else { "ok" },
                 rows.len(),
-            );
+            )
+            .into();
         }
         shared.health_breach.store(breached > 0, Ordering::SeqCst);
         if let Ok(mut roster) = self.roster.lock() {

@@ -28,6 +28,13 @@ use freshen_solver::LagrangeSolver;
 /// [`CoreError::InvalidValue`] when either vector's total mass is
 /// non-positive or non-finite (a divergence over it is meaningless).
 pub fn jeffreys_divergence(a: &[f64], b: &[f64]) -> Result<f64> {
+    Ok(jeffreys_terms(a, b)?.fold(0.0, |d, term| d + term))
+}
+
+/// Check `a` and `b` as [`jeffreys_divergence`] documents, then yield its
+/// per-element terms `(p − q)·ln(p/q)`, with `p` and `q` the entries of
+/// `a` and `b` normalized by their totals and floored at ε.
+fn jeffreys_terms<'a>(a: &'a [f64], b: &'a [f64]) -> Result<impl Iterator<Item = f64> + 'a> {
     if a.len() != b.len() {
         return Err(CoreError::LengthMismatch {
             what: "divergence vectors",
@@ -47,13 +54,11 @@ pub fn jeffreys_divergence(a: &[f64], b: &[f64]) -> Result<f64> {
             });
         }
     }
-    let mut d = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
+    Ok(a.iter().zip(b).map(move |(&x, &y)| {
         let p = (x / sa).max(EPS);
         let q = (y / sb).max(EPS);
-        d += (p - q) * (p / q).ln();
-    }
-    Ok(d)
+        (p - q) * (p / q).ln()
+    }))
 }
 
 /// Drift detector comparing live `(p, λ)` estimates against the snapshot
@@ -175,38 +180,9 @@ impl DriftMonitor {
     /// Per-element Jeffreys contributions (profile + rate terms), the
     /// decomposition [`drift`](Self::drift) sums.
     fn drift_contributions(&self, current: &Problem) -> Result<Vec<f64>> {
-        let terms = |a: &[f64], b: &[f64]| -> Result<Vec<f64>> {
-            if a.len() != b.len() {
-                return Err(CoreError::LengthMismatch {
-                    what: "divergence vectors",
-                    expected: a.len(),
-                    actual: b.len(),
-                });
-            }
-            const EPS: f64 = 1e-12;
-            let sa: f64 = a.iter().sum();
-            let sb: f64 = b.iter().sum();
-            for sum in [sa, sb] {
-                if !sum.is_finite() || sum <= 0.0 {
-                    return Err(CoreError::InvalidValue {
-                        what: "divergence mass",
-                        index: None,
-                        value: sum,
-                    });
-                }
-            }
-            Ok(a.iter()
-                .zip(b)
-                .map(|(&x, &y)| {
-                    let p = (x / sa).max(EPS);
-                    let q = (y / sb).max(EPS);
-                    (p - q) * (p / q).ln()
-                })
-                .collect())
-        };
-        let probs = terms(&self.baseline_probs, current.access_probs())?;
-        let rates = terms(&self.baseline_rates, current.change_rates())?;
-        Ok(probs.iter().zip(&rates).map(|(&a, &b)| a + b).collect())
+        let probs = jeffreys_terms(&self.baseline_probs, current.access_probs())?;
+        let rates = jeffreys_terms(&self.baseline_rates, current.change_rates())?;
+        Ok(probs.zip(rates).map(|(a, b)| a + b).collect())
     }
 
     /// Re-baseline after a re-solve.

@@ -165,7 +165,7 @@ impl HeuristicScheduler {
             )
         };
 
-        let mut solution = Solution::evaluate_with_policy_exec(
+        let mut solution = Solution::evaluate_with(
             problem,
             freqs,
             freshen_core::policy::SyncPolicy::FixedOrder,

@@ -71,18 +71,20 @@ const DRAIN_IDLE: Duration = Duration::from_millis(200);
 
 /// State shared between the serve loop and the control plane. The loop
 /// is the only writer of the JSON views and the only consumer of the
-/// request flags; handlers only read views and set flags.
+/// request flags; handlers only read views and set flags. A view is
+/// replaced whole, never edited, so a read takes a reference to the
+/// published body instead of a copy.
 #[derive(Debug, Default)]
 pub struct ControlShared {
-    /// Current `/status` response body, refreshed each epoch.
-    pub status: Mutex<String>,
+    /// Current `/status` response body, replaced each epoch.
+    pub status: Mutex<Arc<str>>,
     /// Current `/schedule` response body, re-rendered when the schedule
     /// changes.
-    pub schedule: Mutex<String>,
+    pub schedule: Mutex<Arc<str>>,
     /// The schedule the `/schedule` body was rendered from.
     pub(crate) rendered_schedule: Mutex<Option<RenderedSchedule>>,
-    /// Current `/health` response body, refreshed each epoch.
-    pub health: Mutex<String>,
+    /// Current `/health` response body, replaced each epoch.
+    pub health: Mutex<Arc<str>>,
     /// Mirror of the engine's telemetry ring, refreshed each epoch;
     /// `/timeseries` windows it with `since`/`limit`.
     pub series: Mutex<TimeSeries>,
@@ -126,15 +128,15 @@ pub struct Response {
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// Response body.
-    pub body: String,
+    /// Response body, shared with the view it was read from.
+    pub body: Arc<str>,
     /// `Allow` header for 405 responses.
     pub allow: Option<String>,
 }
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: impl Into<String>) -> Response {
+    pub fn json(status: u16, body: impl Into<Arc<str>>) -> Response {
         Response {
             status,
             content_type: JSON,
@@ -144,7 +146,7 @@ impl Response {
     }
 
     /// A response with an explicit content type (Prometheus exposition).
-    pub fn text(status: u16, content_type: &'static str, body: impl Into<String>) -> Response {
+    pub fn text(status: u16, content_type: &'static str, body: impl Into<Arc<str>>) -> Response {
         Response {
             status,
             content_type,
@@ -323,8 +325,9 @@ pub fn register_status_routes(router: &mut Router, prefix: &str, shared: Arc<Con
     });
 }
 
-fn view(body: &Mutex<String>) -> String {
-    body.lock().map(|s| s.clone()).unwrap_or_default()
+/// The published body of a view: a reference-count bump, not a copy.
+fn view(body: &Mutex<Arc<str>>) -> Arc<str> {
+    body.lock().map(|s| Arc::clone(&s)).unwrap_or_default()
 }
 
 /// Register `POST /shutdown`, which drains the whole process. The host
@@ -362,7 +365,7 @@ pub fn metrics_response(request: &Request, recorder: &Recorder) -> Response {
 pub fn health_response(shared: &ControlShared) -> Response {
     let body = view(&shared.health);
     let body = if body.is_empty() {
-        "{\"state\": \"ok\"}\n".to_string()
+        "{\"state\": \"ok\"}\n".into()
     } else {
         body
     };
@@ -730,12 +733,36 @@ mod tests {
 
     fn start_test_plane() -> (ControlPlane, Arc<ControlShared>, Recorder) {
         let shared = Arc::new(ControlShared::default());
-        *shared.status.lock().unwrap() = "{\"epoch\": 3}".to_string();
-        *shared.schedule.lock().unwrap() = "{\"frequencies\": [1.0]}".to_string();
+        *shared.status.lock().unwrap() = "{\"epoch\": 3}".into();
+        *shared.schedule.lock().unwrap() = "{\"frequencies\": [1.0]}".into();
         let recorder = Recorder::enabled();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let plane = ControlPlane::start(listener, Arc::clone(&shared), recorder.clone()).unwrap();
         (plane, shared, recorder)
+    }
+
+    #[test]
+    fn reading_a_view_shares_the_published_body() {
+        let shared = Arc::new(ControlShared::default());
+        let mut router = Router::new();
+        register_control_routes(&mut router, "", Arc::clone(&shared), Recorder::disabled());
+        for (path, view) in [
+            ("/status", &shared.status),
+            ("/schedule", &shared.schedule),
+            ("/health", &shared.health),
+        ] {
+            *view.lock().unwrap() = format!("{{\"view\": \"{path}\"}}").into();
+            let response = router.dispatch(&Request {
+                method: "GET".into(),
+                path: path.into(),
+                query: String::new(),
+            });
+            assert_eq!(response.status, 200, "{path}");
+            assert!(
+                Arc::ptr_eq(&response.body, &view.lock().unwrap()),
+                "{path} copied its view"
+            );
+        }
     }
 
     #[test]
@@ -855,7 +882,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"ok\""), "{body}");
 
-        *shared.health.lock().unwrap() = "{\"state\": \"breach\"}\n".to_string();
+        *shared.health.lock().unwrap() = "{\"state\": \"breach\"}\n".into();
         shared.health_breach.store(true, Ordering::SeqCst);
         let (status, body) = request(addr, "GET", "/health").unwrap();
         assert_eq!(status, 503);
@@ -1040,7 +1067,7 @@ mod tests {
     fn a_slow_reader_of_a_large_body_holds_the_accept_thread_no_longer_than_one_deadline() {
         const BODY: usize = 32 << 20;
         let (plane, shared, recorder) = start_test_plane();
-        *shared.schedule.lock().unwrap() = "x".repeat(BODY);
+        *shared.schedule.lock().unwrap() = "x".repeat(BODY).into();
         let addr = plane.local_addr();
         let accepted = || recorder.counter_value("serve.requests").unwrap_or(0);
         // Asks for the large body, then reads 64 KiB every 300 ms: every

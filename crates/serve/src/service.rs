@@ -665,18 +665,18 @@ pub fn publish_engine_views(
         .is_ok_and(|rendered| !rendered.as_ref().is_some_and(|r| r.shows(schedule)));
     let schedule_body = changed.then(|| schedule_json(schedule));
     if let Ok(mut view) = shared.status.lock() {
-        *view = status;
+        *view = status.into();
     }
     if let Some(body) = schedule_body {
         if let (Ok(mut view), Ok(mut rendered)) =
             (shared.schedule.lock(), shared.rendered_schedule.lock())
         {
-            *view = body;
+            *view = body.into();
             *rendered = Some(RenderedSchedule::of(schedule));
         }
     }
     if let Ok(mut view) = shared.health.lock() {
-        *view = engine.health_json().unwrap_or_default();
+        *view = engine.health_json().unwrap_or_default().into();
     }
     shared
         .health_breach
@@ -983,7 +983,7 @@ mod tests {
         .unwrap();
         let mut engine = Engine::new(&prior, config).unwrap();
         let shared = ControlShared::default();
-        let body = || shared.schedule.lock().unwrap().clone();
+        let body = || shared.schedule.lock().unwrap().to_string();
         let body_ptr = || shared.schedule.lock().unwrap().as_ptr();
         let publish = |engine: &Engine| publish_engine_views(&shared, engine, 30, 8, 0, "running");
 

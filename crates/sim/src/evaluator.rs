@@ -15,8 +15,8 @@
 //! against these in the integration tests.
 
 use freshen_core::access::PerElementScore;
-use freshen_core::exec::{Executor, DEFAULT_CHUNK};
-use freshen_core::numeric::NeumaierSum;
+use freshen_core::exec::Executor;
+use freshen_core::policy::sum_terms;
 
 /// Monitoring-mode evaluator state.
 #[derive(Debug, Clone)]
@@ -55,27 +55,11 @@ impl FreshnessEvaluator {
         Self::with_executor(weights, &Executor::serial())
     }
 
-    /// [`new`](Self::new) with the initial profile-mass reduction run as a
-    /// chunked parallel (compensated) sum on `executor`. Identical at any
-    /// worker count; the per-event scoring path is O(1) and stays serial.
+    /// [`new`](Self::new) with the initial profile mass summed by
+    /// [`sum_terms`] on `executor`. Identical at any worker count; the
+    /// per-event scoring path is O(1) and stays serial.
     pub fn with_executor(weights: &[f64], executor: &Executor) -> Self {
-        let total = executor
-            .par_chunks_reduce(
-                weights.len(),
-                DEFAULT_CHUNK,
-                |range| {
-                    let mut acc = NeumaierSum::new();
-                    for i in range {
-                        acc.add(weights[i]);
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    a.merge(b);
-                    a
-                },
-            )
-            .map_or(0.0, |acc| acc.total());
+        let [total] = sum_terms([weights], executor, |[w]| [w]);
         FreshnessEvaluator {
             weights: weights.to_vec(),
             total_weight: total,

@@ -118,27 +118,12 @@ impl AccessGenerator {
         Self::try_new_with_executor(access_probs, total_rate, seed, &Executor::serial())
     }
 
-    /// [`new`](Self::new) with the CDF built as a chunked parallel scan on
-    /// `executor`: per-chunk local prefix sums run concurrently, chunk
-    /// offsets are folded serially in fixed chunk order, so the CDF is
-    /// identical at any worker count.
-    ///
-    /// # Panics
-    /// Panics when [`try_new_with_executor`](Self::try_new_with_executor)
-    /// would return an error.
-    pub fn new_with_executor(
-        access_probs: &[f64],
-        total_rate: f64,
-        seed: u64,
-        executor: &Executor,
-    ) -> Self {
-        Self::try_new_with_executor(access_probs, total_rate, seed, executor)
-            .unwrap_or_else(|e| panic!("invalid access profile: {e}"))
-    }
-
-    /// Fallible [`new_with_executor`](Self::new_with_executor). The built
-    /// CDF is validated to be finite and non-decreasing before the sum
-    /// check, so a poisoned profile (a NaN or negative probability) yields
+    /// [`try_new`](Self::try_new) with the CDF built as a chunked parallel
+    /// scan on `executor`: per-chunk local prefix sums run concurrently,
+    /// chunk offsets are folded serially in fixed chunk order, so the CDF
+    /// is identical at any worker count. The built CDF is validated to be
+    /// finite and non-decreasing before the sum check, so a poisoned
+    /// profile (a NaN or negative probability) yields
     /// [`CoreError::Inconsistent`] rather than a NaN CDF that would
     /// otherwise panic element selection at sample time.
     pub fn try_new_with_executor(

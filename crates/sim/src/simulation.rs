@@ -353,12 +353,12 @@ impl Simulation {
 
         // Independent streams with decorrelated seeds.
         let mut updates = UpdateGenerator::new(cols.lambda, self.config.seed ^ 0x5eed_0001);
-        let mut accesses = AccessGenerator::new_with_executor(
+        let mut accesses = AccessGenerator::try_new_with_executor(
             cols.p,
             self.config.accesses_per_period,
             self.config.seed ^ 0x5eed_0002,
             &self.executor,
-        );
+        )?;
         let mut syncs = match self.sync_policy {
             SyncPolicy::FixedOrder => {
                 SyncStream::Fixed(Box::new(ScheduleStream::new(&self.frequencies, horizon)))
@@ -507,7 +507,7 @@ impl Simulation {
         evaluator.finish(horizon);
 
         let report = SimReport {
-            analytic_pf: self.problem.perceived_freshness_with_exec(
+            analytic_pf: self.problem.perceived_freshness_with(
                 self.sync_policy,
                 &self.frequencies,
                 &self.executor,
@@ -521,7 +521,7 @@ impl Simulation {
             polls_changed,
             access_counts,
             link_utilization: self.link_capacity.map(|_| link_busy_time / horizon),
-            analytic_age: self.sync_policy.perceived_age_exec(
+            analytic_age: self.sync_policy.perceived_age(
                 cols.p,
                 cols.lambda,
                 &self.frequencies,
@@ -903,7 +903,7 @@ mod tests {
             .with_sync_policy(SyncPolicy::Poisson)
             .run()
             .unwrap();
-        let expected = p.perceived_freshness_with(SyncPolicy::Poisson, &freqs);
+        let expected = p.perceived_freshness_with(SyncPolicy::Poisson, &freqs, &Executor::serial());
         assert!((report.analytic_pf - expected).abs() < 1e-12);
         assert!(
             (report.time_averaged_pf - expected).abs() < 0.02,

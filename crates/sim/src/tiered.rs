@@ -23,8 +23,9 @@
 //! this simulator exists to quantify.
 
 use freshen_core::error::Result;
+use freshen_core::exec::Executor;
 use freshen_core::numeric::NeumaierSum;
-use freshen_core::policy::SyncPolicy;
+use freshen_core::policy::{sum_terms, SyncPolicy};
 use freshen_core::problem::Problem;
 use freshen_core::rng::SplitMix64;
 use freshen_core::topology::{TieredSchedule, Topology};
@@ -208,15 +209,7 @@ pub fn simulate_tiered(
 
     let weigh = |rows: &[Vec<f64>]| -> Vec<f64> {
         rows.iter()
-            .map(|row| {
-                let mut acc = NeumaierSum::new();
-                for (w, f) in p.iter().zip(row) {
-                    if *w != 0.0 {
-                        acc.add(w * f);
-                    }
-                }
-                acc.total()
-            })
+            .map(|row| sum_terms([p, row], &Executor::serial(), |[p, f]| [p * f])[0])
             .collect()
     };
     let measured_node_pf = weigh(&fresh_frac);

@@ -428,7 +428,7 @@ impl LagrangeSolver {
     fn finish(&self, problem: &Problem, cols: &PackedColumns, mu: f64, passes: usize) -> Solution {
         let mut freqs = vec![0.0; problem.len()];
         cols.scatter_f(&mut freqs);
-        let mut sol = Solution::evaluate_with_policy(problem, freqs, self.policy);
+        let mut sol = Solution::evaluate_with(problem, freqs, self.policy, &self.executor);
         sol.multiplier = Some(mu);
         if self.cost_weight > 0.0 {
             sol.cost_multiplier = Some(self.cost_weight);

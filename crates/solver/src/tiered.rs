@@ -648,7 +648,8 @@ impl TieredSolver {
             )?;
             let report = match synth {
                 Some(synth) => {
-                    let mut flat = Solution::evaluate_with_policy(&synth, freqs, policy);
+                    let mut flat =
+                        Solution::evaluate_with(&synth, freqs, policy, &self.base.executor);
                     flat.multiplier = rec.multiplier;
                     audit.check(&synth, &flat, policy)?
                 }
@@ -668,7 +669,8 @@ impl TieredSolver {
                         .access_weights(vec![1.0; rec.entries.len()])
                         .bandwidth(sol.budgets[rec.node].max(f64::MIN_POSITIVE))
                         .build()?;
-                    let mut flat = Solution::evaluate_with_policy(&synth, freqs, policy);
+                    let mut flat =
+                        Solution::evaluate_with(&synth, freqs, policy, &self.base.executor);
                     flat.multiplier = Some(0.0);
                     let gamma = synth
                         .access_probs()

@@ -54,7 +54,11 @@ fn pool_parallel_solve_matches_serial_and_scales() {
     for _ in 0..2 {
         let start = Instant::now();
         let solution = solver.solve(&problem).expect("pooled solve");
-        let pf = problem.perceived_freshness_exec(&solution.frequencies, &executor);
+        let pf = problem.perceived_freshness_with(
+            SyncPolicy::FixedOrder,
+            &solution.frequencies,
+            &executor,
+        );
         pool_wall = pool_wall.min(start.elapsed().as_secs_f64());
         pool_pf = pf;
     }

@@ -6,8 +6,9 @@
 //! (shrunk regressions) and the deterministic problem family run as
 //! explicit cases beside the generated ones.
 
-use freshen::core::exec::Executor;
+use freshen::core::exec::{Executor, DEFAULT_CHUNK};
 use freshen::core::freshness::{freshness_gradient, perceived_freshness, steady_state_freshness};
+use freshen::core::numeric::NeumaierSum;
 use freshen::core::rng::SplitMix64;
 use freshen::core::schedule::{FixedOrderSchedule, ScheduleStream};
 use freshen::engine::audit::LedgerAudit;
@@ -601,6 +602,108 @@ fn pf_bounded_by_weights() {
     });
 }
 
+/// The flat loop PF was summed with before every score went through
+/// `sum_terms`: one compensated sum in element order, zero weights
+/// skipped. Up to one chunk, the chunked reduction must be exactly it.
+fn flat_pf_oracle(policy: SyncPolicy, weights: &[f64], lambdas: &[f64], freqs: &[f64]) -> f64 {
+    let mut acc = NeumaierSum::new();
+    for ((&w, &l), &f) in weights.iter().zip(lambdas).zip(freqs) {
+        if w != 0.0 {
+            acc.add(w * policy.freshness(l, f));
+        }
+    }
+    acc.total()
+}
+
+/// An `n`-element problem whose elements are, at random, unread and
+/// starved, unread, static (`λ = 0`) and starved, or read and refreshed
+/// (element 0 always the last, so some weight is positive), with its
+/// frequencies.
+fn gen_scored(rng: &mut SplitMix64, n: usize) -> (Problem, Vec<f64>) {
+    let (mut weights, mut rates, mut freqs) = (vec![], vec![], vec![]);
+    for i in 0..n {
+        let kind = if i == 0 { 3 } else { rng.below(8) };
+        let (unread, fixed) = (kind <= 1, kind == 2);
+        let starved = kind == 0 || fixed;
+        weights.push(if unread { 0.0 } else { rng.range(0.01, 10.0) });
+        rates.push(if fixed { 0.0 } else { rng.range(0.05, 20.0) });
+        freqs.push(if starved { 0.0 } else { rng.range(0.01, 30.0) });
+    }
+    let problem = Problem::builder()
+        .change_rates(rates)
+        .access_weights(weights)
+        .bandwidth(n as f64 / 4.0)
+        .build()
+        .expect("generated problem is valid");
+    (problem, freqs)
+}
+
+#[test]
+fn scores_are_one_reduction_at_any_worker_count() {
+    let executors = [
+        Executor::serial(),
+        Executor::thread_pool(2),
+        Executor::thread_pool(3),
+    ];
+    let bits = |x: f64| x.to_bits();
+    for n in [
+        1,
+        7,
+        DEFAULT_CHUNK,
+        DEFAULT_CHUNK + 1,
+        3 * DEFAULT_CHUNK + 17,
+    ] {
+        for policy in [SyncPolicy::FixedOrder, SyncPolicy::Poisson] {
+            check(3, SEED + n as u64, |rng| {
+                let (problem, f) = gen_scored(rng, n);
+                let (p, lam) = (problem.access_probs(), problem.change_rates());
+                let scores = |exec: &Executor| {
+                    [
+                        bits(policy.perceived_freshness(p, lam, &f, exec)),
+                        bits(policy.mean_freshness(lam, &f, exec)),
+                        bits(policy.perceived_age(p, lam, &f, exec)),
+                    ]
+                };
+                let serial = scores(&executors[0]);
+                assert!(
+                    f64::from_bits(serial[2]).is_finite(),
+                    "n={n}: starved reads"
+                );
+                for exec in &executors {
+                    assert_eq!(scores(exec), serial, "n={n} {policy:?} {exec:?}");
+                    let solution = Solution::evaluate_with(&problem, f.clone(), policy, exec);
+                    let pf = problem.perceived_freshness_with(policy, &f, exec);
+                    assert_eq!(bits(solution.perceived_freshness), bits(pf));
+                    assert_eq!(bits(solution.general_freshness), serial[1]);
+                }
+                if policy == SyncPolicy::FixedOrder {
+                    assert_eq!(bits(problem.perceived_freshness(&f)), serial[0]);
+                    assert_eq!(bits(problem.general_freshness(&f)), serial[1]);
+                }
+                if n <= DEFAULT_CHUNK {
+                    assert_eq!(bits(flat_pf_oracle(policy, p, lam, &f)), serial[0]);
+                }
+            });
+        }
+    }
+    // The plan-1m rescoring gate in miniature: a pooled solve records the
+    // PF and GF that a serial rescore of its schedule reads.
+    let (problem, _) = gen_scored(&mut SplitMix64::new(SEED), 3 * DEFAULT_CHUNK + 17);
+    let solution = LagrangeSolver::default()
+        .with_executor(Executor::thread_pool(2))
+        .solve(&problem)
+        .unwrap();
+    let f = &solution.frequencies;
+    assert_eq!(
+        bits(solution.perceived_freshness),
+        bits(problem.perceived_freshness(f))
+    );
+    assert_eq!(
+        bits(solution.general_freshness),
+        bits(problem.general_freshness(f))
+    );
+}
+
 // ---- parallel execution layer ------------------------------------------
 
 /// Chunk boundaries depend only on problem size, so a pool solve must
@@ -913,10 +1016,11 @@ fn repair_matches_full_resolve_across_subset_sizes() {
 
 #[test]
 fn dispatcher_queue_reuse_has_no_steady_state_churn() {
-    // Satellite regression: the calendar queue is built once and re-binned
-    // in place, so after the first epoch sizes it, fifty steady-state
-    // epochs must not move the allocation counter — neither the queue's
-    // own `grows()` tally nor the `engine.queue_grows` obs counter.
+    // The dispatcher's scratch buffers (the plan keys, the admitted list
+    // and the retry heap) are cleared and reused, never rebuilt, so after
+    // the first epoch sizes them, fifty steady-state epochs must not move
+    // the allocation counter — neither the dispatcher's own
+    // `queue_grows()` tally nor the `engine.queue_grows` obs counter.
     let config = EngineConfig {
         failure_rate: 0.2,
         max_retries: 2,

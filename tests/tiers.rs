@@ -11,6 +11,7 @@
 //!   independently-written cache-chain product formula (Bastopcu &
 //!   Ulukus-style composed freshness) within 1e-6.
 
+use freshen::core::exec::Executor;
 use freshen::heuristics::{split_budget, TierSplit};
 use freshen::prelude::*;
 use freshen::workload::tiers::{parallel_relay, two_tier_chain};
@@ -77,7 +78,7 @@ fn single_tier_topology_is_byte_identical_to_flat_solve() {
         assert_eq!(
             tiered.edge_pf.to_bits(),
             problem
-                .perceived_freshness_with(policy, &flat.frequencies)
+                .perceived_freshness_with(policy, &flat.frequencies, &Executor::serial())
                 .to_bits(),
             "{policy:?}: edge PF is the flat PF"
         );
