@@ -91,7 +91,8 @@ impl Workload {
             horizon / 2.0,
             horizon,
             self.seed ^ 0xACCE55,
-        );
+        )
+        .expect("access stream");
         let mut source =
             LivePollSource::new(&self.true_rates(), self.seed ^ 0x50_11, horizon).expect("source");
         let recorder = Recorder::enabled();

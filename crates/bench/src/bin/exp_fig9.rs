@@ -1,21 +1,29 @@
 //! **Figure 9** — perceived freshness vs wall-clock solve time (big case).
 //!
-//! Two families of points:
+//! Four families of points, each (wall-clock seconds, PF):
 //! * `CLUSTER_LINE` — plain PF-partitioning (0 iterations) across a range
 //!   of partition counts: each point is (time to partition+solve, PF);
 //! * per-cluster-count series — for k ∈ {50, 150, 200, 300, 400}, the
 //!   trajectory as k-Means iterations grow through
-//!   {0, 1, 3, 5, 7, 10, 15, 25}.
+//!   {0, 1, 3, 5, 7, 10, 15, 25};
+//! * `MULTISTAGE` — §3.2's rejected multi-stage alternative at the same
+//!   k: PF-partitioning (reference frequency 1), then one exact solve per
+//!   partition under its stage-1 bandwidth share;
+//! * `EXACT` — the exact solve of the whole problem.
 //!
 //! Paper shape: a few k-Means iterations on few partitions reach, in
 //! seconds, quality that raw partitioning needs far more partitions (and
 //! time) to match. Absolute seconds differ from the authors' 2003 testbed;
-//! the trade-off's shape is the reproduction target.
+//! the trade-off's shape is the reproduction target. The last two
+//! families test §3.2's cost argument against the alternatives it
+//! rejects.
 //!
 //! Honour `FRESHEN_N` to scale the mirror down for smoke tests.
 
 use freshen_bench::{big_case_n, header, heuristic_pf, row, timed};
+use freshen_heuristics::multistage::solve_multistage;
 use freshen_heuristics::{HeuristicConfig, PartitionCriterion};
+use freshen_solver::LagrangeSolver;
 use freshen_workload::scenario::Scenario;
 
 fn main() {
@@ -60,4 +68,22 @@ fn main() {
             row(&format!("{k}_CLUSTERS_it{iters}"), &[secs, pf]);
         }
     }
+
+    for k in [50usize, 150, 200, 300, 400] {
+        let (pf, secs) = timed(|| {
+            solve_multistage(&problem, PartitionCriterion::PerceivedFreshness, k, 1.0)
+                .expect("multi-stage solve succeeds")
+                .solution
+                .perceived_freshness
+        });
+        row(&format!("MULTISTAGE_k{k}"), &[secs, pf]);
+    }
+
+    let (pf, secs) = timed(|| {
+        LagrangeSolver::default()
+            .solve(&problem)
+            .expect("exact solve succeeds")
+            .perceived_freshness
+    });
+    row("EXACT", &[secs, pf]);
 }

@@ -7,7 +7,7 @@ use freshen_core::audit::SolutionAudit;
 use freshen_core::exec::Executor;
 use freshen_core::policy::SyncPolicy;
 use freshen_core::problem::{Problem, Solution};
-use freshen_core::schedule::FixedOrderSchedule;
+use freshen_core::schedule::ScheduleStream;
 use freshen_engine::{
     Engine, EngineConfig, EstimatorKind, LiveAccessStream, LivePollSource, PollSource,
     ReplayPollSource, ResolvePolicy,
@@ -526,7 +526,8 @@ pub fn cmd_engine(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), S
                 access_rate,
                 config.seed ^ ACCESS_SEED_SALT,
                 horizon,
-            );
+            )
+            .map_err(|e| e.to_string())?;
             let mut source = LivePollSource::new(
                 problem.change_rates(),
                 config.seed ^ POLL_SEED_SALT,
@@ -905,7 +906,9 @@ pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
     }
 }
 
-/// `freshen timetable` — expand a schedule into concrete sync instants.
+/// `freshen timetable` — expand a schedule into concrete sync instants,
+/// writing each as the stream yields it, so memory stays flat in the
+/// horizon.
 pub fn cmd_timetable(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     args.expect_only(&["input", "schedule", "horizon"])?;
     let problem = read_problem(args.require("input")?)?;
@@ -914,9 +917,8 @@ pub fn cmd_timetable(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<()
     if !horizon.is_finite() || horizon <= 0.0 {
         return Err("--horizon must be positive".into());
     }
-    let schedule = FixedOrderSchedule::build(&freqs, horizon);
     writeln!(out, "time,element").map_err(|e| e.to_string())?;
-    for op in schedule.ops() {
+    for op in ScheduleStream::new(&freqs, horizon) {
         writeln!(out, "{:.6},{}", op.time, op.element).map_err(|e| e.to_string())?;
     }
     Ok(())
@@ -1467,6 +1469,29 @@ mod tests {
         let err =
             cmd_engine(&parsed(&["--trace", "a.csv", "--live", "p.json"]), &mut buf).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn engine_live_rejects_a_bad_access_rate() {
+        let dir = tmpdir();
+        let problem = dir.join("bad_rate.json");
+        write_live_problem(&problem);
+        for rate in ["0", "-1", "nan", "inf"] {
+            let mut buf = Vec::new();
+            let err = cmd_engine(
+                &parsed(&[
+                    "--live",
+                    problem.to_str().unwrap(),
+                    "--access-rate",
+                    rate,
+                    "--epochs",
+                    "4",
+                ]),
+                &mut buf,
+            )
+            .unwrap_err();
+            assert!(err.contains("access rate"), "--access-rate {rate}: {err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! NLP, and any heuristic's expanded allocation — no access to solver
 //! internals required.
 //!
-//! Static elements (`λ ≤ 1e-12`, the solver's own threshold) and
+//! Static elements (`λ ≤` [`STATIC_RATE`], the solver's own threshold) and
 //! zero-interest elements are excluded from the marginal conditions:
 //! their optimal allocation is zero, and funding them at all is reported
 //! as its own violation kind.
@@ -33,11 +33,7 @@ use freshen_obs::json::push_f64;
 use crate::error::{CoreError, Result};
 use crate::numeric::NeumaierSum;
 use crate::policy::SyncPolicy;
-use crate::problem::{Problem, Solution};
-
-/// Change rates at or below this are "static" — the same cutoff the
-/// Lagrange solver uses to drop elements from the active set.
-const STATIC_RATE: f64 = 1e-12;
+use crate::problem::{Problem, Solution, STATIC_RATE};
 
 /// What a certificate condition breach looks like, mechanically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

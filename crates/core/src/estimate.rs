@@ -15,9 +15,7 @@
 //!   estimator, undefined when `x = n`;
 //! * **bias-reduced** (Cho & Garcia-Molina's recommended estimator):
 //!   `λ̂ = −ln((n − x + 0.5) / (n + 0.5)) / I` — well-defined for all
-//!   `0 ≤ x ≤ n` and far less biased for frequently changing elements;
-//! * **complete-history MLE** for sources that expose change timestamps:
-//!   `λ̂ = (#updates) / T`.
+//!   `0 ≤ x ≤ n` and far less biased for frequently changing elements.
 
 use crate::error::{CoreError, Result};
 
@@ -60,11 +58,6 @@ impl PollHistory {
         })
     }
 
-    /// Fraction of polls that detected a change.
-    pub fn detection_ratio(&self) -> f64 {
-        self.changes_detected as f64 / self.polls as f64
-    }
-
     /// True when this history cannot produce a meaningful estimate: no
     /// polls, or a non-finite/non-positive interval. Reachable despite
     /// [`new`](Self::new)'s validation because the fields are public.
@@ -100,7 +93,7 @@ impl PollHistory {
         if self.is_degenerate() || self.changes_detected >= self.polls {
             return None;
         }
-        let r = self.detection_ratio();
+        let r = self.changes_detected as f64 / self.polls as f64;
         Some((-(1.0 - r).ln() / self.interval).min(RATE_CAP))
     }
 
@@ -123,42 +116,6 @@ impl PollHistory {
         let x = self.changes_detected as f64;
         (-(((n - x + 0.5) / (n + 0.5)).ln()) / self.interval).min(RATE_CAP)
     }
-}
-
-/// Complete-history estimator for sources that expose change timestamps:
-/// the Poisson MLE `λ̂ = count / horizon`.
-///
-/// Timestamps must be finite, within `[0, horizon]`, and non-decreasing.
-/// A timestamp beyond the horizon or out of order is a corrupt change log
-/// — counting it would silently bias the rate — so both are rejected with
-/// a clean error instead.
-pub fn estimate_from_timestamps(change_times: &[f64], horizon: f64) -> Result<f64> {
-    if !horizon.is_finite() || horizon <= 0.0 {
-        return Err(CoreError::InvalidValue {
-            what: "horizon",
-            index: None,
-            value: horizon,
-        });
-    }
-    let mut prev = 0.0f64;
-    for (i, &t) in change_times.iter().enumerate() {
-        if !t.is_finite() || t < 0.0 || t > horizon {
-            return Err(CoreError::InvalidValue {
-                what: "change time",
-                index: Some(i),
-                value: t,
-            });
-        }
-        if t < prev {
-            return Err(CoreError::InvalidValue {
-                what: "non-monotone change time",
-                index: Some(i),
-                value: t,
-            });
-        }
-        prev = t;
-    }
-    Ok(change_times.len() as f64 / horizon)
 }
 
 /// A batch estimator that accumulates poll outcomes per element and emits
@@ -972,20 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_mle() {
-        let rate = estimate_from_timestamps(&[0.1, 0.5, 0.9, 1.7], 2.0).unwrap();
-        assert_eq!(rate, 2.0);
-        assert_eq!(estimate_from_timestamps(&[], 4.0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn timestamps_validation() {
-        assert!(estimate_from_timestamps(&[0.5], 0.0).is_err());
-        assert!(estimate_from_timestamps(&[-0.1], 1.0).is_err());
-        assert!(estimate_from_timestamps(&[2.0], 1.0).is_err());
-    }
-
-    #[test]
     fn batch_estimator_roundtrip() {
         let mut e = ChangeRateEstimator::new(2, 1.0).unwrap();
         // Element 0 changes every poll (fast); element 1 rarely.
@@ -1183,25 +1126,6 @@ mod tests {
         assert!(br.is_finite() && br <= RATE_CAP, "bias-reduced {br}");
         let naive = h.estimate_naive();
         assert!(naive.is_finite() && naive <= RATE_CAP, "naive {naive}");
-    }
-
-    #[test]
-    fn timestamps_reject_non_monotone_inputs() {
-        // Out-of-order change logs bias the rate silently; they must be a
-        // clean error instead.
-        let err = estimate_from_timestamps(&[0.5, 0.3, 0.9], 1.0).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::InvalidValue {
-                what: "non-monotone change time",
-                index: Some(1),
-                ..
-            }
-        ));
-        // Equal timestamps (two changes observed in the same instant) are
-        // fine, as is a properly sorted log.
-        assert!(estimate_from_timestamps(&[0.2, 0.2, 0.8], 1.0).is_ok());
-        assert_eq!(estimate_from_timestamps(&[0.1, 0.9], 2.0).unwrap(), 1.0);
     }
 
     #[test]

@@ -201,39 +201,6 @@ pub fn general_freshness(lambdas: &[f64], freqs: &[f64]) -> f64 {
     SyncPolicy::FixedOrder.mean_freshness(lambdas, freqs, &Executor::serial())
 }
 
-/// The inverse problem: the sync frequency at which an element with change
-/// rate `lambda` achieves target freshness `target ∈ (0, 1)`.
-///
-/// Solves `(1 − e^{−λ/f})/(λ/f) = target` for `f` by bisection on
-/// `r = λ/f`. Useful for SLA-style reasoning ("how often must I poll to
-/// keep this copy 95% fresh?").
-///
-/// Returns `None` for targets outside `(0, 1)` or non-positive `lambda`.
-pub fn frequency_for_freshness(lambda: f64, target: f64) -> Option<f64> {
-    if !(0.0..1.0).contains(&target) || target == 0.0 || lambda <= 0.0 {
-        return None;
-    }
-    // F(r) decreases from 1 at r=0 to 0 as r→∞. Find r with F(r)=target.
-    let mut lo = 0.0_f64;
-    let mut hi = 1.0_f64;
-    while freshness_of_ratio(hi) > target {
-        hi *= 2.0;
-        if hi > 1e12 {
-            return None;
-        }
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if freshness_of_ratio(mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let r = 0.5 * (lo + hi);
-    Some(lambda / r)
-}
-
 /// Time-averaged **age** of an element under the Fixed-Order policy:
 /// the expected time since the first unseen source change (0 while the
 /// copy is fresh).
@@ -276,21 +243,6 @@ pub fn steady_state_age(lambda: f64, f: f64) -> f64 {
         0.5 - 1.0 / r + (1.0 - (-r).exp()) / (r * r)
     };
     bracket / f
-}
-
-/// Second derivative `∂²F̄/∂f²` of the Fixed-Order freshness — always
-/// negative for `f > 0`, certifying concavity (the paper's footnote 2).
-///
-/// `F̄(f) = (f/λ)(1 − e^{−λ/f})`;
-/// `F̄''(f) = −(λ/f³)·e^{−λ/f}`.
-#[inline]
-pub fn freshness_second_derivative(lambda: f64, f: f64) -> f64 {
-    debug_assert!(lambda > 0.0 && f > 0.0);
-    let r = lambda / f;
-    if r > 700.0 {
-        return 0.0; // underflow region; limit is 0⁻
-    }
-    -(lambda / (f * f * f)) * (-r).exp()
 }
 
 #[cfg(test)]
@@ -482,26 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn second_derivative_negative() {
-        for lam in [0.3, 1.0, 4.0] {
-            for f in [0.1, 1.0, 10.0] {
-                assert!(freshness_second_derivative(lam, f) < 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn second_derivative_matches_finite_difference_of_gradient() {
-        let lam = 2.0;
-        for f in [0.5, 1.0, 3.0] {
-            let h = 1e-5;
-            let num = (freshness_gradient(lam, f + h) - freshness_gradient(lam, f - h)) / (2.0 * h);
-            let ana = freshness_second_derivative(lam, f);
-            assert!(close(num, ana, 1e-4), "f={f}: {num} vs {ana}");
-        }
-    }
-
-    #[test]
     fn perceived_freshness_weighted_average() {
         let p = [0.8, 0.2];
         let lam = [1.0, 1.0];
@@ -532,26 +464,6 @@ mod tests {
     #[test]
     fn general_freshness_empty_is_zero() {
         assert_eq!(general_freshness(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn frequency_for_freshness_roundtrip() {
-        for lam in [0.5, 2.0, 8.0] {
-            for target in [0.1, 0.5, 0.9, 0.99] {
-                let f = frequency_for_freshness(lam, target).unwrap();
-                let achieved = steady_state_freshness(lam, f);
-                assert!(close(achieved, target, 1e-9), "lam={lam} target={target}");
-            }
-        }
-    }
-
-    #[test]
-    fn frequency_for_freshness_rejects_bad_inputs() {
-        assert!(frequency_for_freshness(1.0, 0.0).is_none());
-        assert!(frequency_for_freshness(1.0, 1.0).is_none());
-        assert!(frequency_for_freshness(1.0, 1.5).is_none());
-        assert!(frequency_for_freshness(0.0, 0.5).is_none());
-        assert!(frequency_for_freshness(-1.0, 0.5).is_none());
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //!   estimator of its ref \[4\]);
 //! * [`selection`] — the paper's §7 future-work extension: choosing *which*
 //!   objects to mirror when the mirror is smaller than the database;
-//! * [`access`] — access sets/logs and the empirical perceived-freshness
-//!   score ("keeping score at each access", Definition 3);
 //! * [`audit`] — the KKT optimality certificate checker
 //!   ([`SolutionAudit`]) that turns the Appendix's Eq. 5 conditions into
 //!   a machine-readable [`AuditReport`] for any solver's output;
@@ -75,7 +73,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod access;
 pub mod audit;
 pub mod error;
 pub mod estimate;

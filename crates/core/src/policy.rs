@@ -13,15 +13,15 @@
 //! For every `r = λ/f > 0`, `(1 − e^{−r})/r > 1/(1 + r)`, so Fixed Order
 //! strictly dominates — regular spacing wastes no interval being either
 //! too early or too late. The ablation binary `exp_policy` and the
-//! simulator's [`freshen-sim`](https://docs.rs) Poisson mode quantify the
-//! gap end to end.
+//! simulator's Poisson mode (`freshen_sim::Simulation::with_sync_policy`)
+//! quantify the gap end to end.
 //!
 //! Every sum of freshness or age terms (PF, GF, perceived age) runs
 //! through [`sum_terms`], so a schedule scores the same bits whichever
 //! entry point or executor scored it.
 
 use crate::exec::{Executor, DEFAULT_CHUNK};
-use crate::freshness::{freshness_gradient, freshness_second_derivative, steady_state_freshness};
+use crate::freshness::{freshness_gradient, steady_state_freshness};
 use crate::numeric::NeumaierSum;
 
 /// How refreshes of one element are placed in time, given its frequency.
@@ -71,20 +71,6 @@ impl SyncPolicy {
                 debug_assert!(lambda > 0.0 && f >= 0.0);
                 let d = lambda + f;
                 lambda / (d * d)
-            }
-        }
-    }
-
-    /// Second derivative `∂²F̄/∂f²` (non-positive: both policies' freshness
-    /// laws are concave in `f`, so the optimization stays convex).
-    #[inline]
-    pub fn second_derivative(&self, lambda: f64, f: f64) -> f64 {
-        match self {
-            SyncPolicy::FixedOrder => freshness_second_derivative(lambda, f),
-            SyncPolicy::Poisson => {
-                debug_assert!(lambda > 0.0 && f >= 0.0);
-                let d = lambda + f;
-                -2.0 * lambda / (d * d * d)
             }
         }
     }
@@ -261,28 +247,6 @@ mod tests {
                 / (2.0 * h);
             let ana = SyncPolicy::Poisson.gradient(lam, f);
             assert!((num - ana).abs() < 1e-6, "f={f}: {num} vs {ana}");
-        }
-    }
-
-    #[test]
-    fn poisson_second_derivative_matches_finite_difference() {
-        let lam = 1.5;
-        for f in [0.2, 1.0, 3.0] {
-            let h = 1e-5;
-            let num = (SyncPolicy::Poisson.gradient(lam, f + h)
-                - SyncPolicy::Poisson.gradient(lam, f - h))
-                / (2.0 * h);
-            let ana = SyncPolicy::Poisson.second_derivative(lam, f);
-            assert!((num - ana).abs() < 1e-5, "f={f}: {num} vs {ana}");
-        }
-    }
-
-    #[test]
-    fn both_policies_concave() {
-        for policy in [SyncPolicy::FixedOrder, SyncPolicy::Poisson] {
-            for f in [0.1, 1.0, 10.0] {
-                assert!(policy.second_derivative(2.0, f) < 0.0, "{:?} f={f}", policy);
-            }
         }
     }
 

@@ -24,6 +24,11 @@ use crate::policy::{sum_terms, weighted, SyncPolicy};
 /// Tolerance used when checking that access probabilities sum to one.
 pub const PROB_SUM_TOL: f64 = 1e-6;
 
+/// Change rates at or below this are "static": the element is always
+/// fresh and never worth bandwidth. The one cutoff the solvers, the
+/// certificate and the tier splits share.
+pub const STATIC_RATE: f64 = 1e-12;
+
 /// One mirrored object, as the scheduler sees it.
 ///
 /// This is a convenience view; [`Problem`] stores the same data in

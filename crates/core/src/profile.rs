@@ -53,20 +53,6 @@ impl UserProfile {
         Ok(UserProfile { frequencies })
     }
 
-    /// A profile that accesses exactly one element.
-    pub fn single_interest(n: usize, element: usize) -> Result<Self> {
-        if element >= n {
-            return Err(CoreError::InvalidValue {
-                what: "single_interest element",
-                index: Some(element),
-                value: element as f64,
-            });
-        }
-        let mut f = vec![0.0; n];
-        f[element] = 1.0;
-        UserProfile::new(f)
-    }
-
     /// Number of elements this profile covers.
     pub fn len(&self) -> usize {
         self.frequencies.len()
@@ -104,11 +90,6 @@ pub struct MasterProfile {
 }
 
 impl MasterProfile {
-    /// Aggregate user profiles with equal priority.
-    pub fn aggregate(profiles: &[UserProfile]) -> Result<Self> {
-        Self::aggregate_weighted(profiles, &vec![1.0; profiles.len()])
-    }
-
     /// Aggregate user profiles with per-user priority weights (§2: "so as
     /// to give higher priority to more important users").
     ///
@@ -397,17 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn single_interest_profile() {
-        let u = UserProfile::single_interest(3, 1).unwrap();
-        assert_eq!(u.frequencies(), &[0.0, 1.0, 0.0]);
-        assert!(UserProfile::single_interest(3, 3).is_err());
-    }
-
-    #[test]
     fn aggregate_equal_weights_sums_frequencies() {
         let a = UserProfile::new(vec![2.0, 0.0]).unwrap();
         let b = UserProfile::new(vec![0.0, 2.0]).unwrap();
-        let m = MasterProfile::aggregate(&[a, b]).unwrap();
+        let m = MasterProfile::aggregate_weighted(&[a, b], &[1.0, 1.0]).unwrap();
         assert_eq!(m.combined_frequencies(), &[2.0, 2.0]);
         assert_eq!(m.access_probs(), vec![0.5, 0.5]);
         assert_eq!(m.user_count(), 2);
@@ -426,7 +400,7 @@ mod tests {
     fn aggregate_rejects_mismatched_lengths() {
         let a = UserProfile::new(vec![1.0, 1.0]).unwrap();
         let b = UserProfile::new(vec![1.0]).unwrap();
-        assert!(MasterProfile::aggregate(&[a, b]).is_err());
+        assert!(MasterProfile::aggregate_weighted(&[a, b], &[1.0, 1.0]).is_err());
     }
 
     #[test]
@@ -440,7 +414,7 @@ mod tests {
 
     #[test]
     fn aggregate_rejects_empty() {
-        assert!(MasterProfile::aggregate(&[]).is_err());
+        assert!(MasterProfile::aggregate_weighted(&[], &[]).is_err());
     }
 
     #[test]

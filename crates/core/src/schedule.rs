@@ -43,34 +43,17 @@ impl FixedOrderSchedule {
     /// Element `i` with `fᵢ > 0` is refreshed at times
     /// `(k + φᵢ)/fᵢ` for `k = 0, 1, …` below the horizon, where `φᵢ` is the
     /// deterministic phase of [`element_phase`]. Elements with `fᵢ = 0` are
-    /// never refreshed. Ops are sorted by time.
+    /// never refreshed. Ops are sorted by time, ties by element: this is
+    /// [`ScheduleStream`] collected.
     ///
     /// # Panics
     /// Panics when `horizon` is non-positive or any frequency is negative
     /// or non-finite.
     pub fn build(freqs: &[f64], horizon: f64) -> Self {
-        assert!(
-            horizon.is_finite() && horizon > 0.0,
-            "horizon must be positive"
-        );
-        let mut ops = Vec::new();
-        for (i, &f) in freqs.iter().enumerate() {
-            assert!(f.is_finite() && f >= 0.0, "frequency {i} invalid: {f}");
-            if f <= 0.0 {
-                continue;
-            }
-            let interval = 1.0 / f;
-            let mut t = element_phase(i) * interval;
-            while t < horizon {
-                ops.push(SyncOp {
-                    time: t,
-                    element: i,
-                });
-                t += interval;
-            }
+        FixedOrderSchedule {
+            ops: ScheduleStream::new(freqs, horizon).collect(),
+            horizon,
         }
-        ops.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap_or(Ordering::Equal));
-        FixedOrderSchedule { ops, horizon }
     }
 
     /// The scheduled operations, in time order.
@@ -119,10 +102,11 @@ impl FixedOrderSchedule {
     }
 }
 
-/// Streaming Fixed-Order schedule: yields [`SyncOp`]s in time order without
-/// materializing the whole horizon. For a 500 000-element mirror simulated
-/// over many periods, materializing is wasteful; this merges the per-element
-/// arithmetic sequences with a binary heap (`O(log N)` per op).
+/// Streaming Fixed-Order schedule: yields [`SyncOp`]s in time order (ties
+/// by element) without materializing the whole horizon. It merges the
+/// per-element arithmetic sequences with a binary heap (`O(log N)` per op),
+/// so memory stays `O(N)` however long the horizon. It is the workspace's
+/// one timetable expansion: [`FixedOrderSchedule::build`] collects it.
 #[derive(Debug)]
 pub struct ScheduleStream {
     heap: BinaryHeap<HeapEntry>,
@@ -211,6 +195,29 @@ impl Iterator for ScheduleStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    /// Independent expansion to check the stream against: every element's
+    /// ops materialized in element order, then stably sorted by time.
+    fn materialized(freqs: &[f64], horizon: f64) -> Vec<SyncOp> {
+        let mut ops = Vec::new();
+        for (i, &f) in freqs.iter().enumerate() {
+            if f <= 0.0 {
+                continue;
+            }
+            let interval = 1.0 / f;
+            let mut t = element_phase(i) * interval;
+            while t < horizon {
+                ops.push(SyncOp {
+                    time: t,
+                    element: i,
+                });
+                t += interval;
+            }
+        }
+        ops.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap_or(Ordering::Equal));
+        ops
+    }
 
     #[test]
     fn phases_in_unit_interval_and_distinct() {
@@ -276,13 +283,29 @@ mod tests {
 
     #[test]
     fn stream_matches_materialized() {
-        let freqs = [2.0, 3.5, 0.0, 1.1];
-        let sched = FixedOrderSchedule::build(&freqs, 4.0);
-        let streamed: Vec<SyncOp> = ScheduleStream::new(&freqs, 4.0).collect();
-        assert_eq!(sched.len(), streamed.len());
-        for (a, b) in sched.ops().iter().zip(&streamed) {
-            assert!((a.time - b.time).abs() < 1e-12);
-            assert_eq!(a.element, b.element);
+        let mut rng = SplitMix64::new(0x5eed);
+        for case in 0..500 {
+            // Zero frequencies (no ops) and frequencies repeated across
+            // elements, among random ones.
+            let choices = [0.0, 1.0, 2.0, 0.5];
+            let freqs: Vec<f64> = (0..1 + rng.below(12))
+                .map(|_| match rng.below(3) {
+                    0 => choices[rng.below(4)],
+                    _ => rng.range(0.0, 6.0),
+                })
+                .collect();
+            let horizon = rng.range(0.1, 12.0);
+            let oracle = materialized(&freqs, horizon);
+            let streamed: Vec<SyncOp> = ScheduleStream::new(&freqs, horizon).collect();
+            assert_eq!(oracle.len(), streamed.len(), "case {case}: {freqs:?}");
+            for (a, b) in oracle.iter().zip(&streamed) {
+                assert_eq!(a.time.to_bits(), b.time.to_bits(), "case {case}: {freqs:?}");
+                assert_eq!(a.element, b.element, "case {case}: {freqs:?}");
+            }
+            assert_eq!(
+                FixedOrderSchedule::build(&freqs, horizon).ops(),
+                &streamed[..]
+            );
         }
     }
 

@@ -217,11 +217,6 @@ impl Topology {
         &self.sinks
     }
 
-    /// Node index by name.
-    pub fn node_id(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
     /// `"from→to"` display label for link `l`.
     pub fn link_label(&self, l: usize) -> String {
         let link = &self.links[l];

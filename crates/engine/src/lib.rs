@@ -43,7 +43,7 @@
 //!     .build()
 //!     .unwrap();
 //! let config = EngineConfig { epochs: 10, seed: 7, ..EngineConfig::default() };
-//! let accesses = LiveAccessStream::new(prior.access_probs(), 40.0, 7, 10.0);
+//! let accesses = LiveAccessStream::new(prior.access_probs(), 40.0, 7, 10.0).unwrap();
 //! let mut source = LivePollSource::new(prior.change_rates(), 8, 20.0).unwrap();
 //! let report = Engine::new(&prior, config)
 //!     .unwrap()

@@ -897,7 +897,7 @@ mod tests {
     fn live_run_produces_consistent_totals() {
         let p = prior(6, 6.0);
         let mut engine = Engine::new(&p, small_config()).unwrap();
-        let accesses = LiveAccessStream::new(p.access_probs(), 100.0, 3, 8.0);
+        let accesses = LiveAccessStream::new(p.access_probs(), 100.0, 3, 8.0).unwrap();
         let mut source = LivePollSource::new(&[3.0, 3.0, 2.0, 2.0, 1.0, 1.0], 5, 16.0).unwrap();
         let report = engine.run(accesses, &mut source).unwrap();
 
@@ -1000,7 +1000,7 @@ mod tests {
             .unwrap()
             .with_recorder(recorder.clone())
             .with_executor(Executor::thread_pool(2));
-        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 2, 8.0);
+        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 2, 8.0).unwrap();
         let mut source = LivePollSource::new(&[2.0; 3], 4, 16.0).unwrap();
         let report = engine.run(accesses, &mut source).unwrap();
         assert_eq!(
@@ -1016,7 +1016,7 @@ mod tests {
         // profile estimate must rank element 0 on top.
         let p = prior(4, 4.0);
         let mut engine = Engine::new(&p, small_config()).unwrap();
-        let accesses = LiveAccessStream::new(&[0.7, 0.2, 0.05, 0.05], 200.0, 9, 8.0);
+        let accesses = LiveAccessStream::new(&[0.7, 0.2, 0.05, 0.05], 200.0, 9, 8.0).unwrap();
         let mut source = LivePollSource::new(&[1.0; 4], 11, 16.0).unwrap();
         engine.run(accesses, &mut source).unwrap();
         let probs = engine.estimates().access_probs().to_vec();
@@ -1058,7 +1058,7 @@ mod tests {
         let mut config = small_config();
         config.resolve_policy = ResolvePolicy::EveryEpoch;
         let mut engine = Engine::new(&p, config).unwrap();
-        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 21, 8.0);
+        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 21, 8.0).unwrap();
         let mut source = LivePollSource::new(&[2.0; 3], 22, 16.0).unwrap();
         let report = engine.run(accesses, &mut source).unwrap();
         assert!(report.epochs.iter().all(|e| e.resolved));
@@ -1080,7 +1080,7 @@ mod tests {
         let mut engine = Engine::new(&p, config)
             .unwrap()
             .with_recorder(recorder.clone());
-        let accesses = LiveAccessStream::new(p.access_probs(), 60.0, 5, 8.0);
+        let accesses = LiveAccessStream::new(p.access_probs(), 60.0, 5, 8.0).unwrap();
         let mut source = LivePollSource::new(&[2.0; 4], 6, 16.0).unwrap();
         let report = engine.run(accesses, &mut source).unwrap();
 
@@ -1110,7 +1110,7 @@ mod tests {
         let mut engine = Engine::new(&p, small_config())
             .unwrap()
             .with_recorder(recorder.clone());
-        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 2, 8.0);
+        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 2, 8.0).unwrap();
         let mut source = LivePollSource::new(&[2.0; 3], 4, 16.0).unwrap();
         let report = engine.run(accesses, &mut source).unwrap();
         assert_eq!(
@@ -1136,8 +1136,11 @@ mod tests {
         config.failure_rate = 0.15; // exercise the attempt-counter path
         let rates = [3.0, 2.0, 1.5, 1.0];
         let horizon = config.horizon();
-        let make_accesses =
-            || LiveAccessStream::new(p.access_probs(), 80.0, 31, horizon).peekable();
+        let make_accesses = || {
+            LiveAccessStream::new(p.access_probs(), 80.0, 31, horizon)
+                .unwrap()
+                .peekable()
+        };
         let split = 3;
 
         // Uninterrupted reference run.
@@ -1191,8 +1194,11 @@ mod tests {
         config.failure_rate = 0.1;
         let rates = [3.0, 3.0, 2.0, 2.0, 1.0, 1.0];
         let horizon = config.horizon();
-        let make_accesses =
-            || LiveAccessStream::new(p.access_probs(), 400.0, 31, horizon).peekable();
+        let make_accesses = || {
+            LiveAccessStream::new(p.access_probs(), 400.0, 31, horizon)
+                .unwrap()
+                .peekable()
+        };
 
         let mut reference = Engine::new(&p, config.clone()).unwrap();
         let mut ref_source = LivePollSource::new(&rates, 32, horizon).unwrap();
@@ -1243,8 +1249,11 @@ mod tests {
         config.cost_budget = Some(cap);
         let rates = [3.0, 2.0, 1.5, 1.0];
         let horizon = config.horizon();
-        let make_accesses =
-            || LiveAccessStream::new(p.access_probs(), 80.0, 31, horizon).peekable();
+        let make_accesses = || {
+            LiveAccessStream::new(p.access_probs(), 80.0, 31, horizon)
+                .unwrap()
+                .peekable()
+        };
         let split = 3;
 
         // The engine operates at the cap's levy, and its initial
@@ -1365,7 +1374,7 @@ mod tests {
         let mut engine = Engine::new(&p, config.clone())
             .unwrap()
             .with_recorder(recorder.clone());
-        let accesses = LiveAccessStream::new(p.access_probs(), 60.0, 7, config.horizon());
+        let accesses = LiveAccessStream::new(p.access_probs(), 60.0, 7, config.horizon()).unwrap();
         let mut source = LivePollSource::new(&[1.5; 4], 8, 16.0).unwrap();
         let report = engine.run(accesses, &mut source).unwrap();
 
@@ -1404,7 +1413,7 @@ mod tests {
     fn restore_rejects_inconsistent_state() {
         let p = prior(3, 3.0);
         let mut engine = Engine::new(&p, small_config()).unwrap();
-        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 2, 8.0);
+        let accesses = LiveAccessStream::new(p.access_probs(), 50.0, 2, 8.0).unwrap();
         let mut source = LivePollSource::new(&[2.0; 3], 4, 16.0).unwrap();
         engine.run(accesses, &mut source).unwrap();
         let good = engine.export_state();

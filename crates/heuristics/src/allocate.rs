@@ -43,27 +43,10 @@ impl AllocationPolicy {
     /// Expand representative frequencies to a full allocation.
     ///
     /// `rep_freqs` must align with `reduced.active_partitions()`. Members
-    /// of dropped (empty or zero-interest) partitions receive 0.
-    pub fn expand(
-        &self,
-        problem: &Problem,
-        partitioning: &Partitioning,
-        reduced: &ReducedProblem,
-        rep_freqs: &[f64],
-    ) -> Vec<f64> {
-        self.expand_exec(
-            problem,
-            partitioning,
-            reduced,
-            rep_freqs,
-            &Executor::serial(),
-        )
-    }
-
-    /// [`expand`](Self::expand) with the per-member spread computed in
-    /// parallel on `executor`. Each member's frequency depends only on its
-    /// own partition lookup, so the expansion is identical at any worker
-    /// count.
+    /// of dropped (empty or zero-interest) partitions receive 0. The
+    /// per-member spread runs on `executor`; each member's frequency
+    /// depends only on its own partition lookup, so the expansion is
+    /// identical at any worker count.
     pub fn expand_exec(
         &self,
         problem: &Problem,
@@ -110,7 +93,13 @@ mod tests {
     #[test]
     fn ffa_gives_equal_frequencies() {
         let (p, part, red) = setup();
-        let freqs = AllocationPolicy::FixedFrequency.expand(&p, &part, &red, &[1.5, 0.5]);
+        let freqs = AllocationPolicy::FixedFrequency.expand_exec(
+            &p,
+            &part,
+            &red,
+            &[1.5, 0.5],
+            &Executor::serial(),
+        );
         assert_eq!(freqs, vec![1.5, 1.5, 0.5, 0.5]);
     }
 
@@ -118,7 +107,13 @@ mod tests {
     fn fba_gives_equal_bandwidth() {
         let (p, part, red) = setup();
         // Partition 0: s̄ = 2 ⇒ member bandwidth = f̄·s̄ = 3 each.
-        let freqs = AllocationPolicy::FixedBandwidth.expand(&p, &part, &red, &[1.5, 0.5]);
+        let freqs = AllocationPolicy::FixedBandwidth.expand_exec(
+            &p,
+            &part,
+            &red,
+            &[1.5, 0.5],
+            &Executor::serial(),
+        );
         assert!((freqs[0] - 3.0).abs() < 1e-12, "size-1 member: f = 3/1");
         assert!((freqs[1] - 1.0).abs() < 1e-12, "size-3 member: f = 3/3");
         // Per-member bandwidth equal within the partition.
@@ -133,7 +128,7 @@ mod tests {
             AllocationPolicy::FixedFrequency,
             AllocationPolicy::FixedBandwidth,
         ] {
-            let freqs = policy.expand(&p, &part, &red, &reps);
+            let freqs = policy.expand_exec(&p, &part, &red, &reps, &Executor::serial());
             let used = p.bandwidth_used(&freqs);
             // Partition budgets: M·s̄·f̄ = 2·2·1.5 + 2·2·0.5 = 8.
             assert!((used - 8.0).abs() < 1e-9, "{policy:?} used {used}");
@@ -150,8 +145,20 @@ mod tests {
             .unwrap();
         let part = Partitioning::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
         let red = ReducedProblem::build(&p, &part).unwrap();
-        let a = AllocationPolicy::FixedFrequency.expand(&p, &part, &red, &[1.0, 1.0]);
-        let b = AllocationPolicy::FixedBandwidth.expand(&p, &part, &red, &[1.0, 1.0]);
+        let a = AllocationPolicy::FixedFrequency.expand_exec(
+            &p,
+            &part,
+            &red,
+            &[1.0, 1.0],
+            &Executor::serial(),
+        );
+        let b = AllocationPolicy::FixedBandwidth.expand_exec(
+            &p,
+            &part,
+            &red,
+            &[1.0, 1.0],
+            &Executor::serial(),
+        );
         assert_eq!(a, b, "FFA ≡ FBA when all sizes are 1");
     }
 
@@ -166,7 +173,13 @@ mod tests {
         let part = Partitioning::from_assignment(vec![0, 0, 1], 2).unwrap();
         let red = ReducedProblem::build(&p, &part).unwrap();
         // Only partition 0 is active; rep vector has one entry.
-        let freqs = AllocationPolicy::FixedFrequency.expand(&p, &part, &red, &[1.0]);
+        let freqs = AllocationPolicy::FixedFrequency.expand_exec(
+            &p,
+            &part,
+            &red,
+            &[1.0],
+            &Executor::serial(),
+        );
         assert_eq!(freqs, vec![1.0, 1.0, 0.0]);
     }
 }

@@ -67,29 +67,13 @@ pub fn within_cluster_ss(features: &[[f64; 3]], partitioning: &Partitioning) -> 
 ///
 /// With `iterations == 0` the input partitioning is returned unchanged —
 /// the "0 iterations" point on the paper's Figure 8 plots.
-pub fn refine(
-    problem: &Problem,
-    initial: &Partitioning,
-    iterations: usize,
-) -> Result<(Partitioning, usize)> {
-    refine_observed(problem, initial, iterations, &Recorder::disabled())
-}
-
-/// [`refine`] with per-round observability: each Lloyd round records a span
-/// carrying its element-movement count, plus a `kmeans.moves` counter.
-pub fn refine_observed(
-    problem: &Problem,
-    initial: &Partitioning,
-    iterations: usize,
-    recorder: &Recorder,
-) -> Result<(Partitioning, usize)> {
-    refine_observed_exec(problem, initial, iterations, recorder, &Executor::serial())
-}
-
-/// [`refine_observed`] with the assignment and centroid-update passes run
-/// on `executor`. The nearest-centroid choice is per element (current
-/// assignment read-only), and centroid sums merge per-chunk partials in
-/// fixed chunk order, so refinement is identical at any worker count.
+///
+/// Each Lloyd round records a span carrying its element-movement count,
+/// plus a `kmeans.moves` counter. The assignment and centroid-update
+/// passes run on `executor`: the nearest-centroid choice is per element
+/// (current assignment read-only), and centroid sums merge per-chunk
+/// partials in fixed chunk order, so refinement is identical at any
+/// worker count.
 pub fn refine_observed_exec(
     problem: &Problem,
     initial: &Partitioning,
@@ -242,7 +226,8 @@ mod tests {
     fn zero_iterations_is_identity() {
         let p = clustered_problem();
         let init = Partitioning::by_criterion(&p, PartitionCriterion::ChangeRate, 2, 1.0).unwrap();
-        let (out, ran) = refine(&p, &init, 0).unwrap();
+        let (out, ran) =
+            refine_observed_exec(&p, &init, 0, &Recorder::disabled(), &Executor::serial()).unwrap();
         assert_eq!(out, init);
         assert_eq!(ran, 0);
     }
@@ -252,7 +237,9 @@ mod tests {
         let p = clustered_problem();
         // Deliberately bad start: interleaved assignment.
         let init = Partitioning::from_assignment(vec![0, 1, 0, 1, 0, 1, 0, 1], 2).unwrap();
-        let (out, _) = refine(&p, &init, 20).unwrap();
+        let (out, _) =
+            refine_observed_exec(&p, &init, 20, &Recorder::disabled(), &Executor::serial())
+                .unwrap();
         // All hot/slow elements end up together, all cold/fast together.
         let g0 = out.partition_of(0);
         for i in 1..4 {
@@ -273,7 +260,9 @@ mod tests {
         let mut prev = within_cluster_ss(&feats, &init);
         let mut current = init;
         for _ in 0..5 {
-            let (next, ran) = refine(&p, &current, 1).unwrap();
+            let (next, ran) =
+                refine_observed_exec(&p, &current, 1, &Recorder::disabled(), &Executor::serial())
+                    .unwrap();
             let ss = within_cluster_ss(&feats, &next);
             assert!(ss <= prev + 1e-15, "k-means objective must not increase");
             prev = ss;
@@ -288,9 +277,13 @@ mod tests {
     fn early_exit_when_converged() {
         let p = clustered_problem();
         let init = Partitioning::from_assignment(vec![0, 1, 0, 1, 0, 1, 0, 1], 2).unwrap();
-        let (stable, _) = refine(&p, &init, 50).unwrap();
+        let (stable, _) =
+            refine_observed_exec(&p, &init, 50, &Recorder::disabled(), &Executor::serial())
+                .unwrap();
         // Re-running from a converged state stops after one no-move pass.
-        let (again, ran) = refine(&p, &stable, 50).unwrap();
+        let (again, ran) =
+            refine_observed_exec(&p, &stable, 50, &Recorder::disabled(), &Executor::serial())
+                .unwrap();
         assert_eq!(again, stable);
         assert_eq!(ran, 1, "single pass detects convergence");
     }
@@ -323,7 +316,9 @@ mod tests {
     fn cluster_count_preserved() {
         let p = clustered_problem();
         let init = Partitioning::by_criterion(&p, PartitionCriterion::AccessProb, 3, 1.0).unwrap();
-        let (out, _) = refine(&p, &init, 10).unwrap();
+        let (out, _) =
+            refine_observed_exec(&p, &init, 10, &Recorder::disabled(), &Executor::serial())
+                .unwrap();
         assert_eq!(out.num_partitions(), 3);
         assert_eq!(out.len(), 8);
     }
@@ -332,7 +327,9 @@ mod tests {
     fn rejects_mismatched_partitioning() {
         let p = clustered_problem();
         let init = Partitioning::single(3);
-        assert!(refine(&p, &init, 1).is_err());
+        assert!(
+            refine_observed_exec(&p, &init, 1, &Recorder::disabled(), &Executor::serial()).is_err()
+        );
     }
 
     #[test]
@@ -340,8 +337,11 @@ mod tests {
         let p = clustered_problem();
         let init = Partitioning::from_assignment(vec![0, 1, 0, 1, 0, 1, 0, 1], 2).unwrap();
         let rec = Recorder::enabled();
-        let (observed, ran) = refine_observed(&p, &init, 20, &rec).unwrap();
-        let (plain, _) = refine(&p, &init, 20).unwrap();
+        let (observed, ran) =
+            refine_observed_exec(&p, &init, 20, &rec, &Executor::serial()).unwrap();
+        let (plain, _) =
+            refine_observed_exec(&p, &init, 20, &Recorder::disabled(), &Executor::serial())
+                .unwrap();
         assert_eq!(observed, plain, "observability must not change clustering");
         assert_eq!(rec.counter_value("kmeans.rounds"), Some(ran as u64));
         assert!(rec.counter_value("kmeans.moves").unwrap() > 0);

@@ -20,8 +20,8 @@
 //! the same partitions (exact within-partition allocation dominates a
 //! uniform spread), at the cost of `k` extra solver runs over `N/k`
 //! elements each — the cost structure the paper objects to. The
-//! `solver_scaling` bench and [`pipeline`](crate::pipeline) tests quantify
-//! both sides.
+//! `MULTISTAGE` and `EXACT` rows of `exp_fig9` time it against the
+//! representative pipeline and the exact solve at Figure 9's scale.
 
 use freshen_core::error::Result;
 use freshen_core::problem::{Problem, Solution};

@@ -12,7 +12,7 @@
 
 use freshen_core::error::{CoreError, Result};
 use freshen_core::numeric::NeumaierSum;
-use freshen_core::problem::Problem;
+use freshen_core::problem::{Problem, STATIC_RATE};
 use freshen_core::topology::Topology;
 
 /// The division rule for [`split_budget`].
@@ -28,7 +28,8 @@ pub enum TierSplit {
     AccessWeighted,
     /// Proportional to the tier's aggregate zero-frequency marginal
     /// value per unit of bandwidth, `Σ pᵢ/(λᵢ·sᵢ)` over carried
-    /// elements with `λᵢ > 0` — the water-filling starvation bound
+    /// elements with `λᵢ >` [`STATIC_RATE`] (static elements never take
+    /// bandwidth from the solvers) — the water-filling starvation bound
     /// summed over the tier, so tiers whose content is cheap to keep
     /// fresh (slow-changing, hot, small) are funded first.
     MarginalValue,
@@ -91,7 +92,7 @@ pub fn split_budget(
                     TierSplit::Proportional => s[i],
                     TierSplit::AccessWeighted => p[i],
                     TierSplit::MarginalValue => {
-                        if lam[i] > 0.0 {
+                        if lam[i] > STATIC_RATE {
                             p[i] / (lam[i] * s[i])
                         } else {
                             0.0
@@ -194,6 +195,34 @@ mod tests {
             .unwrap();
         let budgets = split_budget(&topo, &problem, TierSplit::MarginalValue, 60.0).unwrap();
         assert_eq!(budgets, vec![0.0, 30.0, 30.0]);
+    }
+
+    #[test]
+    fn marginal_value_split_ignores_static_elements() {
+        // A relay mirrors {0, 1, 2}; edge A carries {0, 1}, edge B {2}.
+        // Element 2 is static at any rate at or below the cutoff, so it
+        // must weigh in the split exactly as a λ = 0 element does.
+        let topo = Topology::builder()
+            .source("s")
+            .tier("relay", 1.0)
+            .tier("a", 1.0)
+            .tier("b", 1.0)
+            .link("s", "relay")
+            .link_subset("relay", "a", vec![0, 1])
+            .link_subset("relay", "b", vec![2])
+            .build(3)
+            .unwrap();
+        let split = |lam2: f64| {
+            let problem = Problem::builder()
+                .change_rates(vec![1.0, 2.0, lam2])
+                .access_probs(vec![0.4, 0.4, 0.2])
+                .bandwidth(1.0)
+                .build()
+                .unwrap();
+            split_budget(&topo, &problem, TierSplit::MarginalValue, 4.0).unwrap()
+        };
+        let bits = |b: Vec<f64>| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(split(1e-13)), bits(split(0.0)));
     }
 
     #[test]

@@ -189,11 +189,6 @@ impl Recorder {
             .filter(|v| v.is_finite())
     }
 
-    /// Seconds since the recorder was created.
-    pub fn elapsed_seconds(&self) -> Option<f64> {
-        self.inner.as_ref().map(|i| i.epoch.elapsed().as_secs_f64())
-    }
-
     /// Serialize the full metrics snapshot as a JSON object.
     pub fn metrics_json(&self) -> Option<String> {
         self.inner.as_ref().map(|i| export::metrics_json(i))

@@ -212,7 +212,7 @@ impl Tenant {
                     *access_rate,
                     seed ^ ACCESS_SEED_SALT,
                     horizon,
-                ));
+                )?);
                 let rates = problem.change_rates();
                 let source = LivePollSource::new(rates, seed ^ POLL_SEED_SALT, horizon)?;
                 let source = RunSource::Live(source, rates.to_vec());
@@ -750,7 +750,8 @@ mod tests {
             *access_rate,
             cfg.engine.seed ^ ACCESS_SEED_SALT,
             horizon,
-        );
+        )
+        .unwrap();
         let mut source = LivePollSource::new(
             problem.change_rates(),
             cfg.engine.seed ^ POLL_SEED_SALT,
@@ -974,6 +975,7 @@ mod tests {
             config.seed ^ ACCESS_SEED_SALT,
             horizon,
         )
+        .unwrap()
         .peekable();
         let mut source = LivePollSource::new(
             problem.change_rates(),

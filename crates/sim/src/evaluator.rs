@@ -14,7 +14,6 @@
 //! (`Σ pᵢ·F̄(λᵢ, fᵢ)`) lives in `freshen_core::freshness` and is compared
 //! against these in the integration tests.
 
-use freshen_core::access::PerElementScore;
 use freshen_core::exec::Executor;
 use freshen_core::policy::sum_terms;
 
@@ -44,8 +43,10 @@ pub struct FreshnessEvaluator {
     last_time: f64,
     /// Whether measurement has begun.
     measuring: bool,
-    /// Per-access scoring.
-    scores: PerElementScore,
+    /// Accesses scored since measurement began.
+    measured_accesses: u64,
+    /// Of those, the accesses that found a fresh copy.
+    fresh_accesses: u64,
 }
 
 impl FreshnessEvaluator {
@@ -72,7 +73,8 @@ impl FreshnessEvaluator {
             measure_start: 0.0,
             last_time: 0.0,
             measuring: false,
-            scores: PerElementScore::new(weights.len()),
+            measured_accesses: 0,
+            fresh_accesses: 0,
         }
     }
 
@@ -146,7 +148,8 @@ impl FreshnessEvaluator {
     pub fn on_access(&mut self, time: f64, element: usize) {
         self.advance(time);
         if self.measuring {
-            self.scores.record(element, self.fresh[element]);
+            self.measured_accesses += 1;
+            self.fresh_accesses += u64::from(self.fresh[element]);
         }
     }
 
@@ -179,17 +182,8 @@ impl FreshnessEvaluator {
     /// Access-scored perceived freshness (Definition 3), or `None` before
     /// any measured access.
     pub fn access_pf(&self) -> Option<f64> {
-        self.scores.overall().perceived_freshness()
-    }
-
-    /// Per-element access scores.
-    pub fn scores(&self) -> &PerElementScore {
-        &self.scores
-    }
-
-    /// Instantaneous weighted freshness `Σ pᵢ·freshᵢ` right now.
-    pub fn instantaneous_pf(&self) -> f64 {
-        self.fresh_weight
+        (self.measured_accesses > 0)
+            .then(|| self.fresh_accesses as f64 / self.measured_accesses as f64)
     }
 }
 
@@ -309,15 +303,5 @@ mod tests {
         ev.finish(3.0);
         // ∫₁³ (t−1) dt = 2; /3.
         assert!((ev.time_averaged_age().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn instantaneous_tracks_state() {
-        let mut ev = FreshnessEvaluator::new(&[0.6, 0.4]);
-        assert!((ev.instantaneous_pf() - 1.0).abs() < 1e-12);
-        ev.on_update(1.0, 1);
-        assert!((ev.instantaneous_pf() - 0.6).abs() < 1e-12);
-        ev.on_sync(2.0, 1);
-        assert!((ev.instantaneous_pf() - 1.0).abs() < 1e-12);
     }
 }

@@ -103,17 +103,9 @@ pub struct AccessGenerator {
 
 impl AccessGenerator {
     /// Create from access probabilities (must sum to ~1) and a total
-    /// request rate per period.
-    ///
-    /// # Panics
-    /// Panics when [`try_new`](Self::try_new) would return an error.
-    pub fn new(access_probs: &[f64], total_rate: f64, seed: u64) -> Self {
-        Self::try_new(access_probs, total_rate, seed)
-            .unwrap_or_else(|e| panic!("invalid access profile: {e}"))
-    }
-
-    /// Fallible [`new`](Self::new): a degenerate profile (NaN, negative
-    /// entries, bad sum) comes back as a [`CoreError`] instead of a panic.
+    /// request rate per period. A degenerate profile (NaN, negative
+    /// entries, bad sum) or a non-positive or non-finite rate comes back as
+    /// a [`CoreError`].
     pub fn try_new(access_probs: &[f64], total_rate: f64, seed: u64) -> Result<Self> {
         Self::try_new_with_executor(access_probs, total_rate, seed, &Executor::serial())
     }
@@ -254,7 +246,7 @@ mod tests {
     #[test]
     fn access_rate_and_mix() {
         let probs = [0.7, 0.2, 0.1];
-        let mut generator = AccessGenerator::new(&probs, 50.0, 3);
+        let mut generator = AccessGenerator::try_new(&probs, 50.0, 3).unwrap();
         let horizon = 500.0;
         let mut counts = [0usize; 3];
         let mut total = 0usize;
@@ -272,17 +264,11 @@ mod tests {
 
     #[test]
     fn access_none_beyond_horizon() {
-        let mut generator = AccessGenerator::new(&[1.0], 1.0, 4);
+        let mut generator = AccessGenerator::try_new(&[1.0], 1.0, 4).unwrap();
         // Drain a short horizon, then confirm exhaustion is sticky for it.
         while generator.next_event(1.0).is_some() {}
         assert!(generator.peek_time() >= 1.0);
         assert!(generator.next_event(1.0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn access_rejects_unnormalized() {
-        AccessGenerator::new(&[0.5, 0.1], 1.0, 0);
     }
 
     /// Regression: a poisoned profile (NaN or negative entry) used to pass

@@ -34,7 +34,6 @@
 #![deny(unsafe_code)]
 
 pub mod evaluator;
-pub mod events;
 pub mod generators;
 pub mod simulation;
 pub mod state;

@@ -8,12 +8,7 @@
 //! * [`solve_proportional`] — refresh rate proportional to change rate,
 //!   the policy implied by TTL-style cache coherence (paper ref \[7\]): a
 //!   document's time-to-live tracks its change interval, so faster-changing
-//!   documents get proportionally more polls;
-//! * [`solve_sampling_greedy`] — a simplified version of the
-//!   sampling-based policy of Cho & Ntoulas (paper ref \[6\]): objects are
-//!   grouped (per "server"), a sample estimates each group's change ratio,
-//!   groups are ranked by that ratio, and refreshes are poured greedily
-//!   into the highest-ranked groups until the budget runs out.
+//!   documents get proportionally more polls.
 //!
 //! [`solve_grid_search`] is different in kind: not a baseline *policy*
 //! but a brute-force *verification oracle* — it enumerates every
@@ -57,65 +52,6 @@ pub fn solve_proportional(problem: &Problem) -> Solution {
     let scale = problem.bandwidth() / denom;
     let freqs: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
     Solution::evaluate(problem, freqs)
-}
-
-/// Sampling-based greedy refresh (simplified Cho & Ntoulas).
-///
-/// `groups[i]` assigns each element to a "server". The policy estimates
-/// each group's change *ratio* — the expected fraction of its objects that
-/// changed within one period, `mean(1 − e^{−λ})` over the group — ranks
-/// groups by it, and assigns each object in rank order one refresh per
-/// period until the bandwidth runs out (a partial refresh rate for the
-/// group on the boundary).
-///
-/// Returns an error when `groups` has the wrong length or is empty.
-pub fn solve_sampling_greedy(problem: &Problem, groups: &[usize]) -> Result<Solution> {
-    if groups.len() != problem.len() {
-        return Err(CoreError::LengthMismatch {
-            what: "groups",
-            expected: problem.len(),
-            actual: groups.len(),
-        });
-    }
-    let num_groups = match groups.iter().max() {
-        Some(&g) => g + 1,
-        None => return Err(CoreError::Empty),
-    };
-    // Estimated change ratio per group.
-    let mut changed = vec![0.0f64; num_groups];
-    let mut count = vec![0usize; num_groups];
-    for (&g, &lam) in groups.iter().zip(problem.change_rates()) {
-        changed[g] += 1.0 - (-lam).exp();
-        count[g] += 1;
-    }
-    let mut ranked: Vec<usize> = (0..num_groups).filter(|&g| count[g] > 0).collect();
-    ranked.sort_by(|&a, &b| {
-        let ra = changed[a] / count[a] as f64;
-        let rb = changed[b] / count[b] as f64;
-        rb.partial_cmp(&ra).unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    // Pour bandwidth greedily: each object in the current group gets one
-    // refresh per period (costing its size), partial on the boundary group.
-    let mut freqs = vec![0.0; problem.len()];
-    let mut remaining = problem.bandwidth();
-    for &g in &ranked {
-        let members: Vec<usize> = (0..problem.len()).filter(|&i| groups[i] == g).collect();
-        let group_cost: f64 = members.iter().map(|&i| problem.sizes()[i]).sum();
-        if group_cost <= remaining {
-            for &i in &members {
-                freqs[i] = 1.0;
-            }
-            remaining -= group_cost;
-        } else {
-            let fraction = remaining / group_cost;
-            for &i in &members {
-                freqs[i] = fraction;
-            }
-            break;
-        }
-    }
-    Ok(Solution::evaluate(problem, freqs))
 }
 
 /// Dense grid-search oracle for tiny instances: splits the budget into
@@ -259,40 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_greedy_prefers_volatile_groups() {
-        // Group 0: slow changers; group 1: fast changers. Budget covers
-        // exactly one group — the greedy policy picks the volatile one.
-        let p = Problem::builder()
-            .change_rates(vec![0.1, 0.1, 5.0, 5.0])
-            .access_probs(vec![0.25; 4])
-            .bandwidth(2.0)
-            .build()
-            .unwrap();
-        let sol = solve_sampling_greedy(&p, &[0, 0, 1, 1]).unwrap();
-        assert_eq!(sol.frequencies, vec![0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn sampling_greedy_partial_group_on_boundary() {
-        let p = Problem::builder()
-            .change_rates(vec![5.0, 5.0, 0.1, 0.1])
-            .access_probs(vec![0.25; 4])
-            .bandwidth(3.0)
-            .build()
-            .unwrap();
-        let sol = solve_sampling_greedy(&p, &[0, 0, 1, 1]).unwrap();
-        assert_eq!(&sol.frequencies[..2], &[1.0, 1.0]);
-        assert!((sol.frequencies[2] - 0.5).abs() < 1e-12);
-        assert!((sol.bandwidth_used - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampling_greedy_validates_groups() {
-        let p = toy();
-        assert!(solve_sampling_greedy(&p, &[0, 1]).is_err());
-    }
-
-    #[test]
     fn grid_search_agrees_with_the_exact_solver() {
         let p = Problem::builder()
             .change_rates(vec![1.0, 3.0, 5.0])
@@ -340,20 +242,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(solve_grid_search(&big, 10).is_err());
-    }
-
-    #[test]
-    fn sampling_greedy_respects_sizes() {
-        let p = Problem::builder()
-            .change_rates(vec![5.0, 5.0])
-            .access_probs(vec![0.5, 0.5])
-            .sizes(vec![2.0, 2.0])
-            .bandwidth(2.0)
-            .build()
-            .unwrap();
-        let sol = solve_sampling_greedy(&p, &[0, 0]).unwrap();
-        // Budget 2 covers half the 4-unit group cost.
-        assert!((sol.frequencies[0] - 0.5).abs() < 1e-12);
-        assert!((sol.bandwidth_used - 2.0).abs() < 1e-12);
     }
 }

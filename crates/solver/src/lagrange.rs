@@ -53,13 +53,9 @@ use freshen_core::exec::{chunk_ranges, Executor, DEFAULT_CHUNK};
 use freshen_core::freshness::{phi_series, PHI_SERIES_BELOW};
 use freshen_core::numeric::NeumaierSum;
 use freshen_core::policy::SyncPolicy;
-use freshen_core::problem::{Problem, Solution};
+use freshen_core::problem::{Problem, Solution, STATIC_RATE};
 use freshen_core::soa::PackedColumns;
 use freshen_obs::{Recorder, SpanGuard};
-
-/// Change rates below this are treated as "static": the element is always
-/// fresh and never worth bandwidth.
-pub(crate) const STATIC_RATE: f64 = 1e-12;
 
 /// Halley steps the Fixed-Order kernel takes from its two-branch start
 /// (within 6% of the root everywhere). Halley converges cubically, so two

@@ -55,10 +55,10 @@
 use freshen_core::audit::{AuditReport, SolutionAudit};
 use freshen_core::error::{CoreError, Result};
 use freshen_core::policy::SyncPolicy;
-use freshen_core::problem::{Problem, Solution};
+use freshen_core::problem::{Problem, Solution, STATIC_RATE};
 use freshen_core::topology::{TieredSchedule, Topology};
 
-use crate::lagrange::{LagrangeSolver, STATIC_RATE};
+use crate::lagrange::LagrangeSolver;
 
 /// Smallest share of the total budget a budget split hands any tier, so
 /// no tier is frozen out of the next weight-refresh round.

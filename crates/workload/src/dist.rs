@@ -8,9 +8,7 @@
 //!   inversion for sampling (θ = 0 is uniform; the paper sweeps θ ∈ [0, 1.6]);
 //! * [`Pareto`] — heavy-tailed object sizes (the paper's §5.3 uses shape
 //!   1.1, mean 1.0, citing Krishnamurthy & Rexford);
-//! * [`Exponential`] — inter-arrival times of Poisson processes;
-//! * [`poisson_sample`] — Poisson counts (Knuth product method with
-//!   splitting for large rates).
+//! * [`Exponential`] — inter-arrival times of Poisson processes.
 //!
 //! All samplers draw from a caller-owned [`SplitMix64`], so callers
 //! control seeding and stream independence.
@@ -308,39 +306,6 @@ impl Exponential {
     }
 }
 
-/// Sample a Poisson(`lambda`) count.
-///
-/// Knuth's product method for `λ ≤ 30`; larger rates are split in half
-/// recursively (`Poisson(λ) = Poisson(λ/2) + Poisson(λ/2)`), which stays
-/// exact at any rate. `λ = 0` yields 0.
-///
-/// # Panics
-/// Panics on a negative or non-finite rate.
-pub fn poisson_sample(lambda: f64, rng: &mut SplitMix64) -> u64 {
-    assert!(
-        lambda.is_finite() && lambda >= 0.0,
-        "lambda must be non-negative"
-    );
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda > 30.0 {
-        let half = lambda / 2.0;
-        return poisson_sample(half, rng) + poisson_sample(half, rng);
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        let u = rng.next_f64();
-        p *= u;
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,30 +475,6 @@ mod tests {
         let xs: Vec<f64> = (0..N).map(|_| e.sample(&mut r)).collect();
         assert!((mean(&xs) - 0.25).abs() < 0.005, "mean {}", mean(&xs));
         assert!((std_dev(&xs) - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn poisson_moments_small_lambda() {
-        let mut r = rng(12);
-        let xs: Vec<f64> = (0..N).map(|_| poisson_sample(3.0, &mut r) as f64).collect();
-        assert!((mean(&xs) - 3.0).abs() < 0.03, "mean {}", mean(&xs));
-        assert!((variance(&xs) - 3.0).abs() < 0.1, "var {}", variance(&xs));
-    }
-
-    #[test]
-    fn poisson_moments_large_lambda_split_path() {
-        let mut r = rng(13);
-        let xs: Vec<f64> = (0..20_000)
-            .map(|_| poisson_sample(200.0, &mut r) as f64)
-            .collect();
-        assert!((mean(&xs) - 200.0).abs() < 0.5, "mean {}", mean(&xs));
-        assert!((variance(&xs) - 200.0).abs() < 8.0, "var {}", variance(&xs));
-    }
-
-    #[test]
-    fn poisson_zero_rate() {
-        let mut r = rng(14);
-        assert_eq!(poisson_sample(0.0, &mut r), 0);
     }
 
     #[test]

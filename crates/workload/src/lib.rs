@@ -7,19 +7,19 @@
 //! assembles them into [`freshen_core::Problem`] instances matching the
 //! paper's experiment setups (its Table 2 and Table 3).
 //!
-//! All samplers are implemented from scratch on top of `rand`'s uniform
-//! source (the crate policy avoids `rand_distr`): Marsaglia–Tsang for
-//! Gamma, Marsaglia polar for normals, inverse transform for Pareto and
-//! Exponential, cumulative-table inversion for Zipf, and Knuth/splitting
-//! for Poisson counts. Every sampler is unit-tested against its analytic
-//! moments.
+//! All samplers are implemented from scratch on top of the uniform draws
+//! of [`freshen_core::rng::SplitMix64`]: Marsaglia–Tsang for Gamma,
+//! Marsaglia polar for normals, inverse transform for Pareto and
+//! Exponential, and cumulative-table inversion for Zipf. Every sampler is
+//! unit-tested against its analytic moments.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod dist;
 pub mod scenario;
-pub mod stats;
+#[cfg(test)]
+mod stats;
 pub mod tiers;
 pub mod trace;
 

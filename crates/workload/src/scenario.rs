@@ -64,7 +64,7 @@ pub enum SizeAlignment {
 }
 
 /// A fully specified synthetic workload. Construct via [`Scenario::builder`]
-/// or the presets [`Scenario::table2`] / [`Scenario::table3`].
+/// or the presets [`Scenario::table2`] / [`Scenario::table3_scaled`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     num_objects: usize,
@@ -100,16 +100,11 @@ impl Scenario {
             .expect("table2 preset is valid")
     }
 
-    /// The paper's Table 3 "big case" setup: 500 000 objects, 1 000 000
-    /// updates/period (σ = 2), 250 000 syncs/period, θ = 1.0,
-    /// shuffled-change alignment.
-    pub fn table3(seed: u64) -> Scenario {
-        Scenario::table3_scaled(500_000, seed)
-    }
-
-    /// Table 3 with a configurable object count (keeping the paper's
-    /// updates = 2N and syncs = N/2 ratios) so the big-case experiments can
-    /// be smoke-tested at smaller N.
+    /// The paper's Table 3 "big case" setup (at `n` = 500 000: 1 000 000
+    /// updates/period with σ = 2, 250 000 syncs/period, θ = 1.0,
+    /// shuffled-change alignment) with a configurable object count,
+    /// keeping the paper's updates = 2N and syncs = N/2 ratios, so the
+    /// big-case experiments can be smoke-tested at smaller N.
     pub fn table3_scaled(n: usize, seed: u64) -> Scenario {
         Scenario::builder()
             .num_objects(n)

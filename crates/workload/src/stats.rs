@@ -1,5 +1,4 @@
-//! Small summary-statistics helpers used by sampler tests and the
-//! experiment harness.
+//! Small summary-statistics helpers for the sampler tests.
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {

@@ -12,7 +12,8 @@
 //!   content.
 //!
 //! Lines starting with `#` and a leading `time,element[,changed]` header
-//! are skipped, so the files round-trip through the writers here.
+//! are skipped, so an access log round-trips through
+//! [`write_access_log`].
 
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -225,15 +226,6 @@ pub fn write_access_log(records: &[AccessRecord]) -> String {
     s
 }
 
-/// Serialize a poll log (with header) — inverse of [`parse_poll_log`].
-pub fn write_poll_log(records: &[PollRecord]) -> String {
-    let mut s = String::from("time,element,changed\n");
-    for r in records {
-        let _ = writeln!(s, "{:.6},{},{}", r.time, r.element, u8::from(r.changed));
-    }
-    s
-}
-
 /// Estimates learned from logs: everything needed to build a [`Problem`]
 /// once a bandwidth budget is chosen.
 ///
@@ -344,24 +336,6 @@ mod tests {
         let text = write_access_log(&records);
         let parsed = parse_access_log(&text).unwrap();
         assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn poll_log_roundtrip() {
-        let records = vec![
-            PollRecord {
-                time: 0.1,
-                element: 1,
-                changed: true,
-            },
-            PollRecord {
-                time: 0.2,
-                element: 2,
-                changed: false,
-            },
-        ];
-        let text = write_poll_log(&records);
-        assert_eq!(parse_poll_log(&text).unwrap(), records);
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn main() {
     );
 
     // The exact solver still works here (our Lagrange scheme is O(N) per
-    // probe) — but a generic NLP would not; see the solver_scaling bench.
+    // probe) — but a generic NLP would not.
     let start = Instant::now();
     let exact = LagrangeSolver::default()
         .solve(&problem)

@@ -323,7 +323,8 @@ fn engine_ledger_balances_under_injected_failures() {
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(&prior, config).unwrap();
-    let accesses = freshen::engine::LiveAccessStream::new(prior.access_probs(), 80.0, 31, 12.0);
+    let accesses =
+        freshen::engine::LiveAccessStream::new(prior.access_probs(), 80.0, 31, 12.0).unwrap();
     let mut source = LivePollSource::new(prior.change_rates(), 37, 24.0).unwrap();
     let report = engine.run(accesses, &mut source).unwrap();
 

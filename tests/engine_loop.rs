@@ -112,7 +112,8 @@ impl Drifting {
             horizon / 2.0,
             horizon,
             config.seed ^ 0xACCE55,
-        );
+        )
+        .unwrap();
         let mut source = LivePollSource::new(&true_rates, config.seed ^ 0x50_11, horizon).unwrap();
         let prior = Problem::builder()
             .change_rates(vec![1.0; n])
