@@ -25,6 +25,13 @@
 //!   dispatcher is serial by design) and its scratch buffers'
 //!   `queue_grows`.
 //!
+//! Each (N, threads) cell also has a `certified/…` row: the pool solve
+//! followed by the strict certificate on the same executor, the path an
+//! offline certified plan runs. Its `speedup` is over the one-thread
+//! certified row, its `solver_iterations` are the solve's passes, and its
+//! `events_per_sec` counts active-element passes per second (the printed
+//! `ns per active element per pass` is its inverse).
+//!
 //! A cell whose first run takes under [`REPEAT_BELOW_SECONDS`] is timed
 //! as the median of at least [`REPEATS`] runs that together take that
 //! long, each with a fresh recorder and with its setup (solver clone,
@@ -39,7 +46,7 @@
 use freshen_bench::{header, row, timed, BenchReport, BenchRun};
 use freshen_core::exec::Executor;
 use freshen_core::policy::SyncPolicy;
-use freshen_core::problem::Problem;
+use freshen_core::problem::{Problem, STATIC_RATE};
 use freshen_core::SolutionAudit;
 use freshen_engine::{EngineConfig, PollDispatcher, PollSource};
 use freshen_obs::Recorder;
@@ -312,6 +319,14 @@ fn main() {
             tail_error: None,
         });
 
+        let active = problem
+            .access_probs()
+            .iter()
+            .zip(problem.change_rates())
+            .filter(|&(&p, &lam)| p > 0.0 && lam > STATIC_RATE)
+            .count();
+        // The one-thread certified plan, the baseline of the others.
+        let mut certified_serial_wall = None;
         for &threads in &thread_grid {
             let pool_solver = |recorder: &Recorder| {
                 let executor = Executor::thread_pool(threads).with_recorder(recorder.clone());
@@ -337,6 +352,45 @@ fn main() {
             );
             let mut run = BenchRun::from_recorder(&label, wall, &recorder);
             run.pf = Some(pf);
+            bench.push(run);
+
+            // The certified plan: the same solve, then the strict
+            // certificate on the same executor.
+            let ((pf, passes), recorder, wall) = median_timed(pool_solver, |(solver, executor)| {
+                let solution = solver.solve(&problem).expect("certified solve");
+                let certificate = SolutionAudit::default()
+                    .with_executor(executor.clone())
+                    .check(&problem, &solution, base.policy)
+                    .expect("audit runs");
+                assert!(
+                    certificate.is_clean(),
+                    "n={n}: solution failed the strict certificate: {}",
+                    certificate.to_json()
+                );
+                (solution.perceived_freshness, solution.iterations)
+            });
+            let element_passes = (active * passes) as f64;
+            let label = format!("certified/n={n}/threads={threads}");
+            println!(
+                "# {label}: {passes} passes, {:.1} ns per active element per pass",
+                wall * 1e9 / element_passes
+            );
+            let baseline = *certified_serial_wall.get_or_insert(wall);
+            let speedup = baseline / wall.max(f64::MIN_POSITIVE);
+            row(
+                &label,
+                &[
+                    n as f64,
+                    threads as f64,
+                    wall,
+                    speedup,
+                    pf,
+                    (pf - serial_pf).abs(),
+                ],
+            );
+            let mut run = BenchRun::from_recorder(&label, wall, &recorder);
+            run.pf = Some(pf);
+            run.events_per_sec = Some(element_passes / wall.max(f64::MIN_POSITIVE));
             bench.push(run);
         }
     }

@@ -816,6 +816,7 @@ pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
         "solver", "threads", "relaxed",
     ])?;
     let policy = parse_policy(args.get("policy"))?;
+    let executor = exec_from_args(args, &Recorder::disabled())?;
 
     let problem = match (args.get("input"), args.get("objects")) {
         (Some(_), Some(_)) => {
@@ -864,7 +865,7 @@ pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
             None | Some("exact") => {
                 let solver = LagrangeSolver {
                     policy,
-                    executor: exec_from_args(args, &Recorder::disabled())?,
+                    executor: executor.clone(),
                     ..Default::default()
                 };
                 solver.solve(&problem).map_err(|e| e.to_string())?
@@ -891,7 +892,8 @@ pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
         SolutionAudit::relaxed()
     } else {
         SolutionAudit::default()
-    };
+    }
+    .with_executor(executor);
     let report = audit
         .check(&problem, &solution, policy)
         .map_err(|e| e.to_string())?;
@@ -908,7 +910,8 @@ pub fn cmd_audit(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), St
 
 /// `freshen timetable` — expand a schedule into concrete sync instants,
 /// writing each as the stream yields it, so memory stays flat in the
-/// horizon.
+/// horizon. Rows go through a buffer: a line-buffered stdout would
+/// otherwise cost one `write(2)` per row.
 pub fn cmd_timetable(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     args.expect_only(&["input", "schedule", "horizon"])?;
     let problem = read_problem(args.require("input")?)?;
@@ -917,11 +920,12 @@ pub fn cmd_timetable(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<()
     if !horizon.is_finite() || horizon <= 0.0 {
         return Err("--horizon must be positive".into());
     }
+    let mut out = std::io::BufWriter::new(out);
     writeln!(out, "time,element").map_err(|e| e.to_string())?;
     for op in ScheduleStream::new(&freqs, horizon) {
         writeln!(out, "{:.6},{}", op.time, op.element).map_err(|e| e.to_string())?;
     }
-    Ok(())
+    out.flush().map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -933,8 +937,12 @@ mod tests {
         ParsedArgs::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("freshen-cmd-{}", std::process::id()));
+    /// A scratch directory of this process for one test: tests run on
+    /// parallel threads, so two that share file names need their own.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("freshen-cmd-{}", std::process::id()))
+            .join(test);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1029,7 +1037,7 @@ mod tests {
 
     #[test]
     fn solve_roundtrip_and_policy_flag() {
-        let dir = tmpdir();
+        let dir = tmpdir("solve_roundtrip_and_policy_flag");
         let path = dir.join("p1.json");
         let mut buf = Vec::new();
         cmd_scenario(
@@ -1125,7 +1133,7 @@ mod tests {
 
     #[test]
     fn simulate_rejects_mismatched_schedule() {
-        let dir = tmpdir();
+        let dir = tmpdir("simulate_rejects_mismatched_schedule");
         let p1 = dir.join("p_a.json");
         let p2 = dir.join("p_b.json");
         let mut buf = Vec::new();
@@ -1164,7 +1172,7 @@ mod tests {
 
     #[test]
     fn timetable_requires_positive_horizon() {
-        let dir = tmpdir();
+        let dir = tmpdir("timetable_requires_positive_horizon");
         let p = dir.join("p_h.json");
         let mut buf = Vec::new();
         cmd_scenario(
@@ -1195,7 +1203,7 @@ mod tests {
 
     #[test]
     fn estimate_learns_problem_from_logs() {
-        let dir = tmpdir();
+        let dir = tmpdir("estimate_learns_problem_from_logs");
         let access = dir.join("access.csv");
         std::fs::write(&access, "time,element\n0.1,0\n0.2,0\n0.3,0\n0.4,1\n").unwrap();
         let polls = dir.join("polls.csv");
@@ -1232,7 +1240,7 @@ mod tests {
 
     #[test]
     fn estimate_rejects_bad_log() {
-        let dir = tmpdir();
+        let dir = tmpdir("estimate_rejects_bad_log");
         let access = dir.join("bad_access.csv");
         std::fs::write(&access, "not,a,log\n").unwrap();
         let mut buf = Vec::new();
@@ -1280,7 +1288,7 @@ mod tests {
 
     #[test]
     fn engine_trace_mode_runs_and_is_deterministic() {
-        let dir = tmpdir();
+        let dir = tmpdir("engine_trace_mode_runs_and_is_deterministic");
         let (access, polls) = write_engine_trace(&dir);
         let args = |seed: &str| {
             parsed(&[
@@ -1337,7 +1345,7 @@ mod tests {
 
     #[test]
     fn serve_prints_the_report_engine_prints() {
-        let dir = tmpdir();
+        let dir = tmpdir("serve_prints_the_report_engine_prints");
         let problem = dir.join("serve_engine.json");
         write_live_problem(&problem);
         let checkpoint = dir.join("serve_engine.snap");
@@ -1357,7 +1365,7 @@ mod tests {
 
     #[test]
     fn serve_drained_and_resumed_prints_the_uninterrupted_report() {
-        let dir = tmpdir();
+        let dir = tmpdir("serve_drained_and_resumed_prints_the_uninterrupted_report");
         let problem = dir.join("serve_resume.json");
         write_live_problem(&problem);
         let checkpoint = dir.join("serve_resume.snap");
@@ -1381,7 +1389,7 @@ mod tests {
 
     #[test]
     fn fleet_drained_and_resumed_prints_the_uninterrupted_reports() {
-        let dir = tmpdir();
+        let dir = tmpdir("fleet_drained_and_resumed_prints_the_uninterrupted_reports");
         let spec = dir.join("fleet_resume.json");
         std::fs::write(
             &spec,
@@ -1423,7 +1431,7 @@ mod tests {
 
     #[test]
     fn engine_writes_report_and_metrics_files() {
-        let dir = tmpdir();
+        let dir = tmpdir("engine_writes_report_and_metrics_files");
         let (access, polls) = write_engine_trace(&dir);
         let report_path = dir.join("engine_report.json");
         let metrics_path = dir.join("engine_metrics.json");
@@ -1473,7 +1481,7 @@ mod tests {
 
     #[test]
     fn engine_live_rejects_a_bad_access_rate() {
-        let dir = tmpdir();
+        let dir = tmpdir("engine_live_rejects_a_bad_access_rate");
         let problem = dir.join("bad_rate.json");
         write_live_problem(&problem);
         for rate in ["0", "-1", "nan", "inf"] {
@@ -1620,7 +1628,7 @@ mod tests {
 
     #[test]
     fn heuristic_unknown_criterion_rejected() {
-        let dir = tmpdir();
+        let dir = tmpdir("heuristic_unknown_criterion_rejected");
         let p = dir.join("p_c.json");
         let mut buf = Vec::new();
         cmd_scenario(
@@ -1666,7 +1674,7 @@ mod tests {
 
     #[test]
     fn solve_topology_emits_certified_schedule() {
-        let dir = tmpdir();
+        let dir = tmpdir("solve_topology_emits_certified_schedule");
         let spec = dir.join("tiers.json");
         std::fs::write(&spec, TIER_SPEC).unwrap();
         let mut buf = Vec::new();
@@ -1686,7 +1694,7 @@ mod tests {
 
     #[test]
     fn solve_topology_split_budget_rebalances_tiers() {
-        let dir = tmpdir();
+        let dir = tmpdir("solve_topology_split_budget_rebalances_tiers");
         let spec = dir.join("tiers_split.json");
         std::fs::write(&spec, TIER_SPEC).unwrap();
         let mut buf = Vec::new();
@@ -1719,7 +1727,7 @@ mod tests {
 
     #[test]
     fn solve_topology_without_problem_block_demands_input() {
-        let dir = tmpdir();
+        let dir = tmpdir("solve_topology_without_problem_block_demands_input");
         let spec = dir.join("tiers_noprob.json");
         std::fs::write(
             &spec,

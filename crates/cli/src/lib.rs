@@ -115,8 +115,8 @@ USAGE:
                     [--policy fixed|poisson] [--solver exact|pg] [--threads T] [--relaxed 1]
   freshen help
 
-Parallelism: --threads T runs the solver / pipeline / scoring passes on a
-T-worker pool (results are identical at any T). --threads 0 or omission
+Parallelism: --threads T runs the solver / pipeline / scoring / certificate
+passes on a T-worker pool (results are identical at any T). --threads 0 or omission
 defers to the FRESHEN_THREADS environment variable; unset means serial.";
 
 #[cfg(test)]

@@ -28,11 +28,14 @@
 //! their optimal allocation is zero, and funding them at all is reported
 //! as its own violation kind.
 
+use std::ops::Range;
+
 use freshen_obs::json::push_f64;
 
 use crate::error::{CoreError, Result};
+use crate::exec::{Executor, DEFAULT_CHUNK};
 use crate::numeric::NeumaierSum;
-use crate::policy::SyncPolicy;
+use crate::policy::{FixedOrder, FreshnessLaw, Poisson, SyncPolicy};
 use crate::problem::{Problem, Solution, STATIC_RATE};
 
 /// What a certificate condition breach looks like, mechanically.
@@ -173,7 +176,15 @@ impl AuditReport {
 /// The KKT certificate checker. Tolerances are public fields so callers
 /// can tighten or loosen per solver class; [`SolutionAudit::default`] is
 /// the strict profile the exact solvers must satisfy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The check is one pass over fixed chunks of [`DEFAULT_CHUNK`] elements
+/// on [`executor`](Self::executor): each chunk keeps its compensated
+/// spend, its smallest frequency, its funded count, its largest spread
+/// and slack excess, and its violations by kind in element order, and
+/// the chunks merge in chunk order, so the report is the same at any
+/// worker count. A solution without a usable multiplier takes one more
+/// pass, serial and in element order, for the mean funded marginal.
+#[derive(Debug, Clone)]
 pub struct SolutionAudit {
     /// Budget residual allowance, relative to `B`.
     pub budget_tol: f64,
@@ -185,6 +196,9 @@ pub struct SolutionAudit {
     /// An element is "funded" when its bandwidth share `fᵢsᵢ` exceeds
     /// this fraction of the budget.
     pub support_tol: f64,
+    /// Execution strategy for the certificate's pass (serial by
+    /// default). The report is identical at any worker count.
+    pub executor: Executor,
 }
 
 impl Default for SolutionAudit {
@@ -195,6 +209,7 @@ impl Default for SolutionAudit {
             spread_tol: 1e-6,
             slack_tol: 1e-6,
             support_tol: 1e-9,
+            executor: Executor::serial(),
         }
     }
 }
@@ -209,7 +224,16 @@ impl SolutionAudit {
             spread_tol: 5e-2,
             slack_tol: 5e-2,
             support_tol: 1e-7,
+            executor: Executor::serial(),
         }
+    }
+
+    /// Run the certificate's pass on `executor` (builder form; the
+    /// `executor` field can also be set directly). The report is the
+    /// same at any worker count.
+    pub fn with_executor(mut self, executor: Executor) -> Self {
+        self.executor = executor;
+        self
     }
 
     /// Check `solution` against the classic cost-blind certificate for
@@ -238,8 +262,335 @@ impl SolutionAudit {
     ///
     /// `check_with_cost(…, 0.0)` is exactly the classic certificate
     /// ([`check`](Self::check) delegates here).
+    ///
+    /// Violations are listed by kind — non-finite or negative
+    /// frequencies, the budget residual, funded static elements, marginal
+    /// spread, slackness — each kind in element order.
     pub fn check_with_cost(
         &self,
+        problem: &Problem,
+        solution: &Solution,
+        policy: SyncPolicy,
+        cost_weight: f64,
+    ) -> Result<AuditReport> {
+        let n = problem.len();
+        let freqs = &solution.frequencies;
+        if freqs.len() != n {
+            return Err(CoreError::LengthMismatch {
+                what: "audited frequencies",
+                expected: n,
+                actual: freqs.len(),
+            });
+        }
+        if !cost_weight.is_finite() || cost_weight < 0.0 {
+            return Err(CoreError::InvalidValue {
+                what: "audit cost weight",
+                index: None,
+                value: cost_weight,
+            });
+        }
+        Ok(match policy {
+            SyncPolicy::FixedOrder => self.check_as::<FixedOrder>(problem, solution, cost_weight),
+            SyncPolicy::Poisson => self.check_as::<Poisson>(problem, solution, cost_weight),
+        })
+    }
+
+    /// [`check_with_cost`](Self::check_with_cost) under the law `L`, on
+    /// validated inputs.
+    fn check_as<L: FreshnessLaw>(
+        &self,
+        problem: &Problem,
+        solution: &Solution,
+        gamma: f64,
+    ) -> AuditReport {
+        let budget = problem.bandwidth();
+        let columns = Columns {
+            p: problem.access_probs(),
+            lam: problem.change_rates(),
+            sizes: problem.sizes(),
+            costs: problem.poll_costs(),
+            freqs: &solution.frequencies,
+            gamma,
+            support_share: self.support_tol * budget,
+        };
+        let mu_floor_ok = |mu: f64| mu > 0.0 || (gamma > 0.0 && mu == 0.0);
+        let (multiplier, multiplier_estimated) = match solution.multiplier {
+            Some(mu) if mu.is_finite() && mu_floor_ok(mu) => (mu, false),
+            _ => (columns.mean_funded_marginal::<L>(), true),
+        };
+        let tally = self
+            .executor
+            .par_chunks_reduce(
+                problem.len(),
+                DEFAULT_CHUNK,
+                |range| self.tally::<L>(&columns, multiplier, range),
+                Tally::merge,
+            )
+            .unwrap_or_else(Tally::new);
+
+        // A cost-aware interior optimum (declared μ = 0) legitimately
+        // under-spends; there the budget condition is one-sided.
+        let interior = gamma > 0.0 && solution.multiplier == Some(0.0);
+        let used = tally.spend.total();
+        let budget_residual = if interior {
+            (used - budget).max(0.0)
+        } else {
+            (used - budget).abs()
+        };
+        let mut violations = tally.malformed;
+        if budget_residual > self.budget_tol * budget {
+            violations.push(AuditViolation {
+                kind: ViolationKind::BudgetResidual,
+                element: None,
+                value: budget_residual,
+                limit: self.budget_tol * budget,
+            });
+        }
+        violations.extend(tally.static_funded);
+        violations.extend(tally.spread);
+        violations.extend(tally.slackness);
+
+        AuditReport {
+            elements: problem.len(),
+            funded: tally.funded,
+            budget,
+            budget_residual,
+            multiplier,
+            multiplier_estimated,
+            max_spread: tally.max_spread,
+            max_slack_excess: tally.max_slack_excess,
+            min_frequency: if tally.min_frequency.is_finite() {
+                tally.min_frequency
+            } else {
+                0.0
+            },
+            cost_weight: gamma,
+            violations,
+        }
+    }
+
+    /// One chunk of the certificate at water level `mu`.
+    ///
+    /// Funded elements (bandwidth share `fᵢsᵢ` above the support
+    /// threshold) must sit on the waterline: their cost-adjusted
+    /// bandwidth marginal `(pᵢ·g(fᵢ) − γ·cᵢ)/sᵢ` (per unit of bandwidth,
+    /// so sized problems audit like uniform ones) equals `μ`. Spreads are
+    /// normalized by the full per-element threshold `τᵢ = μ + γ·cᵢ/sᵢ`,
+    /// so an interior optimum (μ = 0, γ > 0) still yields a well-defined
+    /// relative deviation. Off the support, the marginal at `f → 0⁺`,
+    /// `pᵢ/(λᵢsᵢ)` per unit of bandwidth, must not beat `τᵢ`.
+    fn tally<L: FreshnessLaw>(&self, columns: &Columns, mu: f64, range: Range<usize>) -> Tally {
+        let Columns {
+            p,
+            lam,
+            sizes,
+            freqs,
+            support_share,
+            ..
+        } = *columns;
+        let mut tally = Tally::new();
+        for i in range {
+            let f = freqs[i];
+            if !f.is_finite() {
+                tally.malformed.push(AuditViolation {
+                    kind: ViolationKind::NonFiniteFrequency,
+                    element: Some(i),
+                    value: f,
+                    limit: 0.0,
+                });
+                continue;
+            }
+            tally.min_frequency = tally.min_frequency.min(f);
+            let share = f * sizes[i];
+            tally.spend.add(share);
+            if f < 0.0 {
+                tally.malformed.push(AuditViolation {
+                    kind: ViolationKind::NegativeFrequency,
+                    element: Some(i),
+                    value: f,
+                    limit: 0.0,
+                });
+                continue;
+            }
+            if share > support_share {
+                if lam[i] <= STATIC_RATE {
+                    tally.static_funded.push(AuditViolation {
+                        kind: ViolationKind::StaticFunded,
+                        element: Some(i),
+                        value: share,
+                        limit: support_share,
+                    });
+                    continue;
+                }
+                tally.funded += 1;
+                let tau = columns.threshold(mu, i);
+                if tau <= 0.0 {
+                    continue;
+                }
+                let spread = (columns.marginal::<L>(i, f) - mu).abs() / tau;
+                tally.max_spread = tally.max_spread.max(spread);
+                if spread > self.spread_tol {
+                    tally.spread.push(AuditViolation {
+                        kind: ViolationKind::MarginalSpread,
+                        element: Some(i),
+                        value: spread,
+                        limit: self.spread_tol,
+                    });
+                }
+            } else {
+                if lam[i] <= STATIC_RATE || p[i] <= 0.0 {
+                    continue;
+                }
+                let tau = columns.threshold(mu, i);
+                if tau <= 0.0 {
+                    continue;
+                }
+                let at_zero = p[i] / (lam[i] * sizes[i]);
+                let excess = (at_zero - tau) / tau;
+                if excess > 0.0 {
+                    tally.max_slack_excess = tally.max_slack_excess.max(excess);
+                }
+                if excess > self.slack_tol {
+                    tally.slackness.push(AuditViolation {
+                        kind: ViolationKind::Slackness,
+                        element: Some(i),
+                        value: excess,
+                        limit: self.slack_tol,
+                    });
+                }
+            }
+        }
+        tally
+    }
+}
+
+/// The columns and constants one certificate reads.
+#[derive(Clone, Copy)]
+struct Columns<'a> {
+    p: &'a [f64],
+    lam: &'a [f64],
+    sizes: &'a [f64],
+    /// Per-poll costs; every cost is 1.0 when absent.
+    costs: Option<&'a [f64]>,
+    freqs: &'a [f64],
+    /// The per-poll cost weight `γ`.
+    gamma: f64,
+    /// The bandwidth share above which an element is funded.
+    support_share: f64,
+}
+
+impl Columns<'_> {
+    /// `τᵢ = μ + γ·cᵢ/sᵢ`, element `i`'s waterline in marginal units.
+    /// Costs are only read when `γ > 0`, so cost-blind audits never pay
+    /// for the lookup.
+    #[inline]
+    fn threshold(&self, mu: f64, i: usize) -> f64 {
+        mu + if self.gamma > 0.0 {
+            self.gamma * self.cost(i) / self.sizes[i]
+        } else {
+            0.0
+        }
+    }
+
+    #[inline]
+    fn cost(&self, i: usize) -> f64 {
+        self.costs.map_or(1.0, |c| c[i])
+    }
+
+    /// Funded element `i`'s cost-adjusted bandwidth marginal
+    /// `(pᵢ·g(fᵢ) − γ·cᵢ)/sᵢ`.
+    #[inline]
+    fn marginal<L: FreshnessLaw>(&self, i: usize, f: f64) -> f64 {
+        let levy = if self.gamma > 0.0 {
+            self.gamma * self.cost(i)
+        } else {
+            0.0
+        };
+        (self.p[i] * L::gradient(self.lam[i], f) - levy) / self.sizes[i]
+    }
+
+    /// The mean funded marginal, the multiplier estimate for a solution
+    /// that carries none: a plain sum in element order over the funded,
+    /// changing elements (0 when there are none).
+    fn mean_funded_marginal<L: FreshnessLaw>(&self) -> f64 {
+        let mut funded = 0usize;
+        let total: f64 = (0..self.freqs.len())
+            .filter(|&i| {
+                let f = self.freqs[i];
+                f.is_finite()
+                    && f >= 0.0
+                    && f * self.sizes[i] > self.support_share
+                    && self.lam[i] > STATIC_RATE
+            })
+            .map(|i| {
+                funded += 1;
+                self.marginal::<L>(i, self.freqs[i])
+            })
+            .sum();
+        if funded == 0 {
+            0.0
+        } else {
+            total / funded as f64
+        }
+    }
+}
+
+/// One chunk's share of a certificate; chunks merge in chunk order.
+#[derive(Debug)]
+struct Tally {
+    /// Compensated spend `Σ sᵢfᵢ` over the finite frequencies.
+    spend: NeumaierSum,
+    min_frequency: f64,
+    funded: usize,
+    max_spread: f64,
+    max_slack_excess: f64,
+    /// Non-finite and negative frequencies, in element order.
+    malformed: Vec<AuditViolation>,
+    static_funded: Vec<AuditViolation>,
+    spread: Vec<AuditViolation>,
+    slackness: Vec<AuditViolation>,
+}
+
+impl Tally {
+    fn new() -> Self {
+        Tally {
+            spend: NeumaierSum::new(),
+            min_frequency: f64::INFINITY,
+            funded: 0,
+            max_spread: 0.0,
+            max_slack_excess: 0.0,
+            malformed: Vec::new(),
+            static_funded: Vec::new(),
+            spread: Vec::new(),
+            slackness: Vec::new(),
+        }
+    }
+
+    /// Append `next`, the following chunk's tally.
+    fn merge(mut self, next: Tally) -> Tally {
+        self.spend.merge(next.spend);
+        self.min_frequency = self.min_frequency.min(next.min_frequency);
+        self.funded += next.funded;
+        self.max_spread = self.max_spread.max(next.max_spread);
+        self.max_slack_excess = self.max_slack_excess.max(next.max_slack_excess);
+        self.malformed.extend(next.malformed);
+        self.static_funded.extend(next.static_funded);
+        self.spread.extend(next.spread);
+        self.slackness.extend(next.slackness);
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::SplitMix64;
+
+    /// The certificate as it was written before the one-pass form: four
+    /// serial walks and a funded-marginal vector. The parity tests hold
+    /// [`SolutionAudit::check_with_cost`] to its report byte for byte.
+    fn oracle(
+        audit: &SolutionAudit,
         problem: &Problem,
         solution: &Solution,
         policy: SyncPolicy,
@@ -308,12 +659,12 @@ impl SolutionAudit {
         } else {
             (used.total() - budget).abs()
         };
-        if budget_residual > self.budget_tol * budget {
+        if budget_residual > audit.budget_tol * budget {
             violations.push(AuditViolation {
                 kind: ViolationKind::BudgetResidual,
                 element: None,
                 value: budget_residual,
-                limit: self.budget_tol * budget,
+                limit: audit.budget_tol * budget,
             });
         }
 
@@ -322,7 +673,7 @@ impl SolutionAudit {
         // identically to uniform ones). With γ > 0 the per-poll levy is
         // subtracted first: the *bandwidth* marginal on the support is
         // `(pᵢ·g(fᵢ) − γ·cᵢ)/sᵢ = μ`.
-        let support_share = self.support_tol * budget;
+        let support_share = audit.support_tol * budget;
         let mut funded = Vec::new();
         for i in 0..n {
             let f = freqs[i];
@@ -377,12 +728,12 @@ impl SolutionAudit {
             }
             let spread = (v - multiplier).abs() / tau;
             max_spread = max_spread.max(spread);
-            if spread > self.spread_tol {
+            if spread > audit.spread_tol {
                 violations.push(AuditViolation {
                     kind: ViolationKind::MarginalSpread,
                     element: Some(i),
                     value: spread,
-                    limit: self.spread_tol,
+                    limit: audit.spread_tol,
                 });
             }
         }
@@ -414,12 +765,12 @@ impl SolutionAudit {
             if excess > 0.0 {
                 max_slack_excess = max_slack_excess.max(excess);
             }
-            if excess > self.slack_tol {
+            if excess > audit.slack_tol {
                 violations.push(AuditViolation {
                     kind: ViolationKind::Slackness,
                     element: Some(i),
                     value: excess,
-                    limit: self.slack_tol,
+                    limit: audit.slack_tol,
                 });
             }
         }
@@ -442,12 +793,202 @@ impl SolutionAudit {
             violations,
         })
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exec::Executor;
+    /// A random `n`-element instance and an allocation on its waterline
+    /// at level `mu` and levy `gamma` under the law `L`: Zipf-like
+    /// interest with every eleventh element unread and every ninth
+    /// static, and optionally random sizes and per-poll costs. The
+    /// budget is the allocation's spend.
+    fn waterline<L: FreshnessLaw>(
+        rng: &mut SplitMix64,
+        n: usize,
+        sized: bool,
+        (mu, gamma): (f64, f64),
+    ) -> (Problem, Vec<f64>) {
+        let lam: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 9 == 4 {
+                    0.0
+                } else {
+                    rng.range(0.05, 8.0)
+                }
+            })
+            .collect();
+        let weights: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 11 == 6 && n > 1 {
+                    0.0
+                } else {
+                    1.0 / (1.0 + i as f64)
+                }
+            })
+            .collect();
+        let mut builder = Problem::builder()
+            .change_rates(lam)
+            .access_weights(weights)
+            .bandwidth(1.0);
+        if sized {
+            builder = builder
+                .sizes((0..n).map(|_| rng.range(0.25, 4.0)).collect())
+                .costs((0..n).map(|_| rng.range(0.5, 3.0)).collect());
+        }
+        let problem = builder.build().unwrap();
+        let (p, lam, s) = (
+            problem.access_probs(),
+            problem.change_rates(),
+            problem.sizes(),
+        );
+        let freqs: Vec<f64> = (0..n)
+            .map(|i| {
+                let tau = mu * s[i] + gamma * problem.poll_cost(i);
+                if lam[i] <= STATIC_RATE || p[i] <= 0.0 || lam[i] * tau >= p[i] {
+                    0.0
+                } else {
+                    L::invert(p[i], lam[i], s[i], mu, tau).0
+                }
+            })
+            .collect();
+        let budget = problem.bandwidth_used(&freqs).max(1e-300);
+        let problem = Problem::builder()
+            .change_rates(problem.change_rates().to_vec())
+            .access_probs(problem.access_probs().to_vec())
+            .sizes(problem.sizes().to_vec())
+            .costs(problem.poll_costs().map_or(vec![1.0; n], <[f64]>::to_vec))
+            .bandwidth(budget)
+            .build()
+            .unwrap();
+        (problem, freqs)
+    }
+
+    /// Break `freqs` in every way the certificate reports: NaN, ±inf and
+    /// negative entries, a funded static element, a funded element off
+    /// the waterline and a starved one that breaks slackness.
+    fn doctor(rng: &mut SplitMix64, problem: &Problem, freqs: &mut [f64]) {
+        let n = freqs.len();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.75] {
+            freqs[rng.below(n)] = bad;
+        }
+        if let Some(i) = (0..n).find(|&i| problem.change_rates()[i] <= STATIC_RATE) {
+            freqs[i] = 2.5;
+        }
+        let funded: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0.0).collect();
+        if funded.len() >= 2 {
+            freqs[funded[rng.below(funded.len())]] *= 1.1;
+            freqs[funded[0]] = 0.0;
+        }
+    }
+
+    /// The one-pass certificate against the oracle, byte for byte on
+    /// `to_json`, on serial, 2- and 3-worker executors: sizes that end on
+    /// and just past a chunk boundary, both laws, sized and costed
+    /// problems, clean and doctored allocations, and multipliers that are
+    /// usable, absent, NaN or 0, with and without a levy.
+    #[test]
+    fn one_pass_certificate_matches_the_oracle_at_any_worker_count() {
+        let mut rng = SplitMix64::new(0xa0d17);
+        let executors = [
+            Executor::serial(),
+            Executor::thread_pool(2),
+            Executor::thread_pool(3),
+        ];
+        let mut compared = 0;
+        for n in [1, 7, 8192, 8193, 24_593] {
+            for policy in [SyncPolicy::FixedOrder, SyncPolicy::Poisson] {
+                for sized in [false, true] {
+                    let gamma = if sized { 0.02 } else { 0.0 };
+                    let mu = rng.range(0.05, 0.6) / n as f64;
+                    let (problem, clean) = match policy {
+                        SyncPolicy::FixedOrder => {
+                            waterline::<FixedOrder>(&mut rng, n, sized, (mu, gamma))
+                        }
+                        SyncPolicy::Poisson => {
+                            waterline::<Poisson>(&mut rng, n, sized, (mu, gamma))
+                        }
+                    };
+                    let mut doctored = clean.clone();
+                    doctor(&mut rng, &problem, &mut doctored);
+                    for freqs in [&clean, &doctored] {
+                        for multiplier in [Some(mu), None, Some(f64::NAN), Some(0.0)] {
+                            let solution = Solution {
+                                frequencies: freqs.clone(),
+                                perceived_freshness: 0.0,
+                                general_freshness: 0.0,
+                                bandwidth_used: 0.0,
+                                multiplier,
+                                cost_multiplier: None,
+                                iterations: 0,
+                            };
+                            for cost_weight in [0.0, gamma] {
+                                for audit in [SolutionAudit::default(), SolutionAudit::relaxed()] {
+                                    let want =
+                                        oracle(&audit, &problem, &solution, policy, cost_weight)
+                                            .unwrap()
+                                            .to_json();
+                                    for exec in &executors {
+                                        let got = audit
+                                            .clone()
+                                            .with_executor(exec.clone())
+                                            .check_with_cost(
+                                                &problem,
+                                                &solution,
+                                                policy,
+                                                cost_weight,
+                                            )
+                                            .unwrap()
+                                            .to_json();
+                                        assert_eq!(
+                                            got,
+                                            want,
+                                            "n={n} {policy:?} sized={sized} μ={multiplier:?} \
+                                             γ={cost_weight} workers={}",
+                                            exec.workers()
+                                        );
+                                        compared += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 5 * 2 * 2 * 2 * 4 * 2 * 2 * 3);
+    }
+
+    /// Every report kind shows up in the parity corpus, so the parity
+    /// test compares each one's ordering rather than empty lists.
+    #[test]
+    fn parity_corpus_breaks_every_condition() {
+        let mut rng = SplitMix64::new(7);
+        let (problem, mut freqs) = waterline::<FixedOrder>(&mut rng, 8193, true, (1e-5, 0.0));
+        doctor(&mut rng, &problem, &mut freqs);
+        let solution = Solution {
+            frequencies: freqs,
+            perceived_freshness: 0.0,
+            general_freshness: 0.0,
+            bandwidth_used: 0.0,
+            multiplier: Some(1e-5),
+            cost_multiplier: None,
+            iterations: 0,
+        };
+        let report = SolutionAudit::default()
+            .check(&problem, &solution, SyncPolicy::FixedOrder)
+            .unwrap();
+        for kind in [
+            ViolationKind::NonFiniteFrequency,
+            ViolationKind::NegativeFrequency,
+            ViolationKind::BudgetResidual,
+            ViolationKind::StaticFunded,
+            ViolationKind::MarginalSpread,
+            ViolationKind::Slackness,
+        ] {
+            assert!(
+                report.violations.iter().any(|v| v.kind == kind),
+                "{kind:?} missing: {}",
+                report.to_json()
+            );
+        }
+    }
 
     /// Two identical elements: by symmetry the even split is the exact
     /// optimum, so the strict certificate must come back clean.

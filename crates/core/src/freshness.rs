@@ -27,7 +27,7 @@
 //! bit.
 
 use crate::exec::Executor;
-use crate::policy::{sum_terms, weighted, SyncPolicy};
+use crate::policy::SyncPolicy;
 
 /// Expected number of source changes per refresh interval below which we
 /// switch to a Taylor expansion of `(1 − e^{−r})/r` to avoid catastrophic
@@ -182,16 +182,7 @@ pub fn freshness_gradient(lambda: f64, f: f64) -> f64 {
 /// assert!((pf - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
 /// ```
 pub fn perceived_freshness(weights: &[f64], lambdas: &[f64], freqs: &[f64]) -> f64 {
-    // The law is named rather than matched per element as in `SyncPolicy`:
-    // the engine scores every epoch with this sum, and the per-element
-    // match made it about 20% slower (10⁵ mostly unpolled elements, 2-core
-    // x86-64 host).
-    let [pf] = sum_terms(
-        [weights, lambdas, freqs],
-        &Executor::serial(),
-        |[w, l, f]| [weighted(w, || steady_state_freshness(l, f))],
-    );
-    pf
+    SyncPolicy::FixedOrder.perceived_freshness(weights, lambdas, freqs, &Executor::serial())
 }
 
 /// *General* (interest-blind) freshness of an allocation: the unweighted

@@ -16,13 +16,178 @@
 //! simulator's Poisson mode (`freshen_sim::Simulation::with_sync_policy`)
 //! quantify the gap end to end.
 //!
+//! Each law is also a type, [`FixedOrder`] and [`Poisson`], implementing
+//! [`FreshnessLaw`]. [`SyncPolicy`] is the runtime choice: every
+//! per-element loop (the sums here, scoring, the solver's kernel, the
+//! certificate) matches it once per call and runs a loop generic over
+//! the law, so no element pays for the match.
+//!
 //! Every sum of freshness or age terms (PF, GF, perceived age) runs
 //! through [`sum_terms`], so a schedule scores the same bits whichever
 //! entry point or executor scored it.
 
 use crate::exec::{Executor, DEFAULT_CHUNK};
-use crate::freshness::{freshness_gradient, steady_state_freshness};
+use crate::freshness::{
+    freshness_gradient, phi_series, steady_state_age, steady_state_freshness, PHI_SERIES_BELOW,
+};
 use crate::numeric::NeumaierSum;
+
+/// One synchronization policy's per-element formulas, as a type: a loop
+/// generic over `L: FreshnessLaw` is compiled once per law and names it,
+/// instead of matching a [`SyncPolicy`] per element.
+pub trait FreshnessLaw {
+    /// Kernel steps one funded element costs in [`invert`](Self::invert).
+    const KERNEL_STEPS: usize;
+
+    /// Time-averaged freshness `F̄(λ, f)`.
+    fn freshness(lambda: f64, f: f64) -> f64;
+
+    /// Marginal freshness `∂F̄/∂f` (defined for `λ > 0`).
+    fn gradient(lambda: f64, f: f64) -> f64;
+
+    /// Time-averaged age.
+    fn age(lambda: f64, f: f64) -> f64;
+
+    /// The water-filling kernel's inversion: the frequency `f > 0` at
+    /// which `p·∂F̄/∂f = τ`, given `λτ < p` with `τ = μs + γc`, and its
+    /// elasticity `−d ln f/d ln μ` (only the `μs` share of `τ` moves).
+    /// The cost is the same for every element: no loop exit depends on
+    /// the data.
+    fn invert(p: f64, lam: f64, s: f64, mu: f64, tau: f64) -> (f64, f64);
+}
+
+/// The Fixed-Order law: `F̄ = (f/λ)(1 − e^{−λ/f})`, the paper's.
+#[derive(Debug, Clone, Copy)]
+pub struct FixedOrder;
+
+/// The Poisson (memoryless) law: `F̄ = f/(λ + f)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Poisson;
+
+/// Halley steps the Fixed-Order inversion takes from its two-branch start
+/// (within 6% of the root everywhere). Halley converges cubically, so two
+/// steps reach ~3e-14 relative error and every element costs the same.
+const HALLEY_STEPS: usize = 2;
+
+impl FreshnessLaw for FixedOrder {
+    const KERNEL_STEPS: usize = HALLEY_STEPS;
+
+    #[inline]
+    fn freshness(lambda: f64, f: f64) -> f64 {
+        steady_state_freshness(lambda, f)
+    }
+
+    #[inline]
+    fn gradient(lambda: f64, f: f64) -> f64 {
+        freshness_gradient(lambda, f)
+    }
+
+    #[inline]
+    fn age(lambda: f64, f: f64) -> f64 {
+        steady_state_age(lambda, f)
+    }
+
+    /// `∂F̄/∂f = φ(λ/f)/λ`, so with `y = λτ/p` stationarity reads
+    /// `φ(x) = y` for `x = λ/f`: every element sits on the one locus
+    /// `x = ψ(y)`, `ψ = φ⁻¹`, found from a two-branch start by two
+    /// Halley steps.
+    #[inline]
+    fn invert(p: f64, lam: f64, s: f64, mu: f64, tau: f64) -> (f64, f64) {
+        let inv_p = 1.0 / p;
+        let lam_tau = lam * tau;
+        // 1 − y from the inputs: no cancellation as y → 1.
+        let (y, q) = (lam_tau * inv_p, (p - lam_tau) * inv_p);
+        let (x, x_dphi) = fixed_order_root(y.max(f64::MIN_POSITIVE), q);
+        // d ln x/d ln y = y/(x·φ′(x)); only the μ share of y moves.
+        (lam / x, lam * mu * s * inv_p / x_dphi)
+    }
+}
+
+impl FreshnessLaw for Poisson {
+    const KERNEL_STEPS: usize = 0;
+
+    #[inline]
+    fn freshness(lambda: f64, f: f64) -> f64 {
+        debug_assert!(lambda >= 0.0 && f >= 0.0);
+        if lambda <= 0.0 {
+            1.0
+        } else if f <= 0.0 {
+            0.0
+        } else {
+            f / (lambda + f)
+        }
+    }
+
+    #[inline]
+    fn gradient(lambda: f64, f: f64) -> f64 {
+        debug_assert!(lambda > 0.0 && f >= 0.0);
+        let d = lambda + f;
+        lambda / (d * d)
+    }
+
+    /// Conditioning on the exponential time-since-last-sync gives the
+    /// closed form `Ā = λ / (f·(f + λ))`.
+    #[inline]
+    fn age(lambda: f64, f: f64) -> f64 {
+        debug_assert!(lambda >= 0.0 && f >= 0.0);
+        if lambda <= 0.0 {
+            0.0
+        } else if f <= 0.0 {
+            f64::INFINITY
+        } else {
+            lambda / (f * (f + lambda))
+        }
+    }
+
+    /// Closed form: `f = √(pλ/τ) − λ`.
+    #[inline]
+    fn invert(p: f64, lam: f64, s: f64, mu: f64, tau: f64) -> (f64, f64) {
+        let root = (p * lam / tau).sqrt();
+        let f = root - lam;
+        (f, 0.5 * root / f * (mu * s / tau))
+    }
+}
+
+/// Solve `φ(x) = y` for `x = ψ(y) = −1 − W₋₁(−(1 − y)/e)` at a fixed
+/// cost, given `y ∈ (0, 1)` and `q = 1 − y` formed by the caller from its
+/// inputs. Returns the root and `x·φ′(x)` at the last step's point (the
+/// elasticity's denominator).
+///
+/// The start takes one of two branches: the branch-point series in
+/// `s = √(2y)` below `y = 0.6`, the `W₋₁` asymptotic in `L = −ln q`
+/// above. It is within 6% of the root on all of `(0, 1)`, and
+/// [`HALLEY_STEPS`] Halley steps (`φ′ = x·e^{−x}`,
+/// `φ″ = (1 − x)·e^{−x}`, one `exp` each) bring it to ~3e-14. The
+/// residual `φ(x) − y` is the series minus `y` below
+/// [`PHI_SERIES_BELOW`] and `q − (1 + x)·e^{−x}` above, so neither tail
+/// cancels.
+#[inline]
+fn fixed_order_root(y: f64, q: f64) -> (f64, f64) {
+    let mut x = if y < 0.6 {
+        let s = (2.0 * y).sqrt();
+        s * (1.0
+            + s * (1.0 / 3.0
+                + s * (11.0 / 72.0
+                    + s * (43.0 / 540.0 + s * (769.0 / 17280.0 + s * (221.0 / 8505.0))))))
+    } else {
+        let l = -q.ln();
+        let l1 = l.ln_1p();
+        l + l1 + l1 / (1.0 + l)
+    };
+    let mut x_dphi = 0.0;
+    for _ in 0..HALLEY_STEPS {
+        let e = (-x).exp();
+        let h = if x < PHI_SERIES_BELOW {
+            phi_series(x) - y
+        } else {
+            q - (1.0 + x) * e
+        };
+        x_dphi = x * x * e;
+        // x − 2hφ′/(2φ′² − hφ″), divided through by e^{−x}.
+        x -= 2.0 * h * x / (2.0 * x_dphi - h * (1.0 - x));
+    }
+    (x, x_dphi)
+}
 
 /// How refreshes of one element are placed in time, given its frequency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,17 +213,8 @@ impl SyncPolicy {
     #[inline]
     pub fn freshness(&self, lambda: f64, f: f64) -> f64 {
         match self {
-            SyncPolicy::FixedOrder => steady_state_freshness(lambda, f),
-            SyncPolicy::Poisson => {
-                debug_assert!(lambda >= 0.0 && f >= 0.0);
-                if lambda <= 0.0 {
-                    1.0
-                } else if f <= 0.0 {
-                    0.0
-                } else {
-                    f / (lambda + f)
-                }
-            }
+            SyncPolicy::FixedOrder => FixedOrder::freshness(lambda, f),
+            SyncPolicy::Poisson => Poisson::freshness(lambda, f),
         }
     }
 
@@ -66,34 +222,19 @@ impl SyncPolicy {
     #[inline]
     pub fn gradient(&self, lambda: f64, f: f64) -> f64 {
         match self {
-            SyncPolicy::FixedOrder => freshness_gradient(lambda, f),
-            SyncPolicy::Poisson => {
-                debug_assert!(lambda > 0.0 && f >= 0.0);
-                let d = lambda + f;
-                lambda / (d * d)
-            }
+            SyncPolicy::FixedOrder => FixedOrder::gradient(lambda, f),
+            SyncPolicy::Poisson => Poisson::gradient(lambda, f),
         }
     }
 
-    /// Time-averaged age under this policy.
-    ///
-    /// Fixed Order: see [`crate::freshness::steady_state_age`]. Poisson
-    /// (memoryless syncing at rate `f`): conditioning on the exponential
-    /// time-since-last-sync gives the closed form `Ā = λ / (f·(f + λ))`.
+    /// Time-averaged age under this policy: see
+    /// [`crate::freshness::steady_state_age`] for Fixed Order; Poisson's
+    /// closed form is `Ā = λ / (f·(f + λ))`.
     #[inline]
     pub fn age(&self, lambda: f64, f: f64) -> f64 {
         match self {
-            SyncPolicy::FixedOrder => crate::freshness::steady_state_age(lambda, f),
-            SyncPolicy::Poisson => {
-                debug_assert!(lambda >= 0.0 && f >= 0.0);
-                if lambda <= 0.0 {
-                    0.0
-                } else if f <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    lambda / (f * (f + lambda))
-                }
-            }
+            SyncPolicy::FixedOrder => FixedOrder::age(lambda, f),
+            SyncPolicy::Poisson => Poisson::age(lambda, f),
         }
     }
 
@@ -106,10 +247,17 @@ impl SyncPolicy {
         freqs: &[f64],
         executor: &Executor,
     ) -> f64 {
-        let [pf] = sum_terms([weights, lambdas, freqs], executor, |[w, l, f]| {
-            [weighted(w, || self.freshness(l, f))]
-        });
-        pf
+        fn sum<L: FreshnessLaw>(columns: [&[f64]; 3], executor: &Executor) -> f64 {
+            let [pf] = sum_terms(columns, executor, |[w, l, f]| {
+                [weighted(w, || L::freshness(l, f))]
+            });
+            pf
+        }
+        let columns = [weights, lambdas, freqs];
+        match self {
+            SyncPolicy::FixedOrder => sum::<FixedOrder>(columns, executor),
+            SyncPolicy::Poisson => sum::<Poisson>(columns, executor),
+        }
     }
 
     /// Perceived **age** `Σ wᵢ·Ā(λᵢ, fᵢ)` under this policy, summed by
@@ -122,17 +270,31 @@ impl SyncPolicy {
         freqs: &[f64],
         executor: &Executor,
     ) -> f64 {
-        let [age] = sum_terms([weights, lambdas, freqs], executor, |[w, l, f]| {
-            [weighted(w, || self.age(l, f))]
-        });
-        age
+        fn sum<L: FreshnessLaw>(columns: [&[f64]; 3], executor: &Executor) -> f64 {
+            let [age] = sum_terms(columns, executor, |[w, l, f]| {
+                [weighted(w, || L::age(l, f))]
+            });
+            age
+        }
+        let columns = [weights, lambdas, freqs];
+        match self {
+            SyncPolicy::FixedOrder => sum::<FixedOrder>(columns, executor),
+            SyncPolicy::Poisson => sum::<Poisson>(columns, executor),
+        }
     }
 
     /// Unweighted mean freshness `Σ F̄(λᵢ, fᵢ) / N` (the general-freshness
     /// metric) under this policy, summed by [`sum_terms`] on `executor`;
     /// 0 for no elements.
     pub fn mean_freshness(&self, lambdas: &[f64], freqs: &[f64], executor: &Executor) -> f64 {
-        let [total] = sum_terms([lambdas, freqs], executor, |[l, f]| [self.freshness(l, f)]);
+        fn sum<L: FreshnessLaw>(columns: [&[f64]; 2], executor: &Executor) -> f64 {
+            let [total] = sum_terms(columns, executor, |[l, f]| [L::freshness(l, f)]);
+            total
+        }
+        let total = match self {
+            SyncPolicy::FixedOrder => sum::<FixedOrder>([lambdas, freqs], executor),
+            SyncPolicy::Poisson => sum::<Poisson>([lambdas, freqs], executor),
+        };
         if lambdas.is_empty() {
             0.0
         } else {

@@ -19,7 +19,7 @@ use crate::exec::Executor;
 use crate::freshness::{general_freshness, perceived_freshness};
 use crate::json::Json;
 use crate::numeric::neumaier_sum;
-use crate::policy::{sum_terms, weighted, SyncPolicy};
+use crate::policy::{sum_terms, weighted, FixedOrder, FreshnessLaw, Poisson, SyncPolicy};
 
 /// Tolerance used when checking that access probabilities sum to one.
 pub const PROB_SUM_TOL: f64 = 1e-6;
@@ -609,9 +609,10 @@ impl Solution {
         )
     }
 
-    /// Score an allocation under `policy` on `executor`. PF and GF
-    /// (`Σ F̄ᵢ/N`) come from one [`sum_terms`] pass that evaluates each
-    /// `F̄ᵢ` once, so they equal [`Problem::perceived_freshness_with`] and
+    /// Score an allocation under `policy` on `executor`. PF, GF
+    /// (`Σ F̄ᵢ/N`) and the spend `Σ sᵢfᵢ` come from one [`sum_terms`]
+    /// pass that evaluates each `F̄ᵢ` once, so PF and GF equal
+    /// [`Problem::perceived_freshness_with`] and
     /// [`SyncPolicy::mean_freshness`] bit for bit at any worker count.
     pub fn evaluate_with(
         problem: &Problem,
@@ -619,12 +620,22 @@ impl Solution {
         policy: SyncPolicy,
         executor: &Executor,
     ) -> Solution {
-        let columns = [problem.access_probs(), problem.change_rates(), &frequencies];
-        let [pf, total] = sum_terms(columns, executor, |[p, l, f]| {
-            let fresh = policy.freshness(l, f);
-            [weighted(p, || fresh), fresh]
-        });
-        let used = problem.bandwidth_used(&frequencies);
+        fn score<L: FreshnessLaw>(columns: [&[f64]; 4], executor: &Executor) -> [f64; 3] {
+            sum_terms(columns, executor, |[p, l, s, f]| {
+                let fresh = L::freshness(l, f);
+                [weighted(p, || fresh), fresh, s * f]
+            })
+        }
+        let columns = [
+            problem.access_probs(),
+            problem.change_rates(),
+            problem.sizes(),
+            &frequencies,
+        ];
+        let [pf, total, used] = match policy {
+            SyncPolicy::FixedOrder => score::<FixedOrder>(columns, executor),
+            SyncPolicy::Poisson => score::<Poisson>(columns, executor),
+        };
         Solution {
             frequencies,
             perceived_freshness: pf,

@@ -420,15 +420,18 @@ impl AdaptiveScheduler {
             }
             Err(e) => return Err(e),
         };
-        // Certify against the solver's actual objective: with a poll levy
-        // active the stationarity targets shift to `μ·s + γ·c`, and the
-        // cost-blind certificate would reject every correct repair.
-        let certificate = SolutionAudit::default().check_with_cost(
-            problem,
-            &repaired,
-            self.solver.policy,
-            self.solver.cost_weight,
-        )?;
+        // Certify against the solver's actual objective, on its executor:
+        // with a poll levy active the stationarity targets shift to
+        // `μ·s + γ·c`, and the cost-blind certificate would reject every
+        // correct repair.
+        let certificate = SolutionAudit::default()
+            .with_executor(self.solver.executor.clone())
+            .check_with_cost(
+                problem,
+                &repaired,
+                self.solver.policy,
+                self.solver.cost_weight,
+            )?;
         if !certificate.is_clean() {
             self.repair_fallbacks += 1;
             return Ok(false);

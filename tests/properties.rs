@@ -10,7 +10,7 @@ use freshen::core::exec::{Executor, DEFAULT_CHUNK};
 use freshen::core::freshness::{freshness_gradient, perceived_freshness, steady_state_freshness};
 use freshen::core::numeric::NeumaierSum;
 use freshen::core::rng::SplitMix64;
-use freshen::core::schedule::{FixedOrderSchedule, ScheduleStream};
+use freshen::core::schedule::{element_phase, FixedOrderSchedule, ScheduleStream};
 use freshen::engine::audit::LedgerAudit;
 use freshen::engine::EngineConfig;
 use freshen::engine::{PollDispatcher, PollSource};
@@ -403,12 +403,21 @@ fn schedule_stream_equals_materialized() {
     check(64, SEED, |rng| {
         let freqs: Vec<f64> = (0..1 + rng.below(9)).map(|_| rng.range(0.0, 5.0)).collect();
         let horizon = rng.range(0.5, 10.0);
-        let materialized = FixedOrderSchedule::build(&freqs, horizon);
+        // Expanded here, independently of the stream: element i fires at
+        // (k + φᵢ)/fᵢ below the horizon, sorted by time, then element.
+        let mut materialized: Vec<(f64, usize)> = Vec::new();
+        for (i, &f) in freqs.iter().enumerate() {
+            if f > 0.0 {
+                let times = (0..).map(|k| (k as f64 + element_phase(i)) / f);
+                materialized.extend(times.take_while(|&t| t < horizon).map(|t| (t, i)));
+            }
+        }
+        materialized.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let streamed: Vec<_> = ScheduleStream::new(&freqs, horizon).collect();
         assert_eq!(materialized.len(), streamed.len());
-        for (a, b) in materialized.ops().iter().zip(&streamed) {
-            assert!((a.time - b.time).abs() < 1e-12);
-            assert_eq!(a.element, b.element);
+        for (a, b) in materialized.iter().zip(&streamed) {
+            assert!((a.0 - b.time).abs() < 1e-12);
+            assert_eq!(a.1, b.element);
         }
     });
 }
