@@ -30,9 +30,7 @@
 
 use freshen_bench::{header, row, timed, BenchReport, BenchRun};
 use freshen_core::audit::SolutionAudit;
-use freshen_core::estimate::{
-    EwmaRateEstimator, LlnRateEstimator, SaRateEstimator, WindowRateEstimator,
-};
+use freshen_core::estimate::{EwmaRateEstimator, LlnRateEstimator, WindowRateEstimator};
 use freshen_core::problem::Problem;
 use freshen_core::rng::SplitMix64;
 use freshen_heuristics::adaptive::AdaptiveScheduler;
@@ -109,7 +107,7 @@ impl Race {
         // Decay 0.6 sits at the fast end of the Robbins–Monro range
         // (0.5, 1]: the gain shrinks slowly enough to absorb the early
         // step change yet still drives the variance to zero.
-        let mut sa = SaRateEstimator::new(n, 0.5, 0.6, prior).expect("sa builds");
+        let mut sa = EwmaRateEstimator::decreasing(n, 0.5, 0.6, prior).expect("sa builds");
 
         let mut rng = SplitMix64::new(self.seed ^ drift.name().len() as u64);
         let tail_start = self.polls - self.polls / 5;

@@ -376,6 +376,52 @@ pub fn cmd_estimate(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(),
     write_json(&problem.to_json(), out)
 }
 
+/// The flags `engine` accepts, all of which `serve` accepts too: the
+/// workload, the engine configuration that [`engine_config_from_args`]
+/// parses, and the outputs.
+const ENGINE_FLAGS: &[&str] = &[
+    "trace",
+    "polls",
+    "elements",
+    "bandwidth",
+    "live",
+    "access-rate",
+    "epochs",
+    "epoch-len",
+    "warmup",
+    "drift-threshold",
+    "policy",
+    "estimator",
+    "gain",
+    "decay",
+    "window",
+    "poll-cost",
+    "cost-budget",
+    "smoothing",
+    "fallback-rate",
+    "budget-factor",
+    "max-backlog",
+    "failure-rate",
+    "max-retries",
+    "retry-backoff",
+    "seed",
+    "threads",
+    "progress",
+    "slo-target-pf",
+    "report-out",
+    "metrics-out",
+    "trace-out",
+];
+
+/// The flags only `serve` accepts, beside [`ENGINE_FLAGS`].
+const SERVE_FLAGS: &[&str] = &[
+    "listen",
+    "checkpoint-every",
+    "checkpoint",
+    "resume",
+    "drain-after",
+];
+
 /// Parse the engine-configuration flags shared by `engine` and `serve`.
 fn engine_config_from_args(args: &crate::ParsedArgs) -> Result<EngineConfig, String> {
     let defaults = EngineConfig::default();
@@ -441,39 +487,7 @@ fn engine_config_from_args(args: &crate::ParsedArgs) -> Result<EngineConfig, Str
 /// `freshen engine` — run the online freshening runtime over a recorded
 /// trace (`--trace`/`--polls`) or a live simulated workload (`--live`).
 pub fn cmd_engine(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    args.expect_only(&[
-        "trace",
-        "polls",
-        "elements",
-        "bandwidth",
-        "live",
-        "access-rate",
-        "epochs",
-        "epoch-len",
-        "warmup",
-        "drift-threshold",
-        "policy",
-        "estimator",
-        "gain",
-        "decay",
-        "window",
-        "poll-cost",
-        "cost-budget",
-        "smoothing",
-        "fallback-rate",
-        "budget-factor",
-        "max-backlog",
-        "failure-rate",
-        "max-retries",
-        "retry-backoff",
-        "seed",
-        "threads",
-        "progress",
-        "slo-target-pf",
-        "report-out",
-        "metrics-out",
-        "trace-out",
-    ])?;
+    args.expect_only(ENGINE_FLAGS)?;
     let (recorder, metrics, trace_out) = obs_recorder(args);
     let executor = exec_from_args(args, &recorder)?;
     let config = engine_config_from_args(args)?;
@@ -579,44 +593,7 @@ where
 /// `freshen serve` — run the engine as a long-lived service with
 /// checkpoint/restore, graceful shutdown, and an HTTP control plane.
 pub fn cmd_serve(args: &crate::ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    args.expect_only(&[
-        "trace",
-        "polls",
-        "elements",
-        "bandwidth",
-        "live",
-        "access-rate",
-        "epochs",
-        "epoch-len",
-        "warmup",
-        "drift-threshold",
-        "policy",
-        "estimator",
-        "gain",
-        "decay",
-        "window",
-        "poll-cost",
-        "cost-budget",
-        "smoothing",
-        "fallback-rate",
-        "budget-factor",
-        "max-backlog",
-        "failure-rate",
-        "max-retries",
-        "retry-backoff",
-        "seed",
-        "threads",
-        "progress",
-        "slo-target-pf",
-        "listen",
-        "checkpoint-every",
-        "checkpoint",
-        "resume",
-        "drain-after",
-        "report-out",
-        "metrics-out",
-        "trace-out",
-    ])?;
+    args.expect_only(&[ENGINE_FLAGS, SERVE_FLAGS].concat())?;
     let (mut recorder, metrics, trace_out) = obs_recorder(args);
     if args.get("listen").is_some() {
         // The control plane's /metrics route needs a live recorder even

@@ -9,7 +9,9 @@
 //!   marginal value per unit bandwidth: `pᵢ·g(fᵢ; λᵢ) = μ·sᵢ` whenever
 //!   `fᵢ > 0`;
 //! * **complementary slackness off it** — unfunded elements cannot beat
-//!   the waterline even at zero: `pᵢ·g(0⁺; λᵢ) = pᵢ/λᵢ ≤ μ·sᵢ`;
+//!   the waterline even at zero: `pᵢ·g(0⁺; λᵢ) = pᵢ/λᵢ ≤ μ·sᵢ`; an
+//!   element funded below the support cut is held to `pᵢ·g(fᵢ) ≤ μ·sᵢ` at
+//!   its own frequency;
 //! * **budget exhaustion** — `Σ sᵢ·fᵢ = B` (the marginal value is
 //!   strictly positive, so leftover bandwidth is always a bug);
 //! * **non-negativity** — `fᵢ ≥ 0`.
@@ -102,8 +104,9 @@ pub struct AuditReport {
     pub multiplier_estimated: bool,
     /// Max relative deviation `|pᵢ·g(fᵢ)/sᵢ − μ| / μ` over the support.
     pub max_spread: f64,
-    /// Max relative excess `(pᵢ/(λᵢsᵢ) − μ)/μ` over unfunded elements
-    /// (0 when every unfunded element is priced out, as it should be).
+    /// Max relative excess `(pᵢ·g(fᵢ)/sᵢ − τᵢ)/τᵢ` over unfunded
+    /// elements, `g(0) = 1/λᵢ` (0 when every unfunded element is priced
+    /// out, as it should be).
     pub max_slack_excess: f64,
     /// Smallest frequency in the allocation.
     pub min_frequency: f64,
@@ -190,8 +193,10 @@ pub struct SolutionAudit {
     pub budget_tol: f64,
     /// Allowed relative deviation of funded marginals from `μ`.
     pub spread_tol: f64,
-    /// Allowed relative excess of an unfunded element's zero-frequency
-    /// marginal over `μ`.
+    /// Allowed relative excess of an unfunded element's marginal over
+    /// its threshold `τᵢ = μ + γcᵢ/sᵢ`. The marginal is taken at the
+    /// element's own frequency: `pᵢ/(λᵢsᵢ)` at `fᵢ = 0`, and
+    /// `pᵢ·g(fᵢ)/sᵢ` for a positive frequency below the support cut.
     pub slack_tol: f64,
     /// An element is "funded" when its bandwidth share `fᵢsᵢ` exceeds
     /// this fraction of the budget.
@@ -377,8 +382,9 @@ impl SolutionAudit {
     /// so sized problems audit like uniform ones) equals `μ`. Spreads are
     /// normalized by the full per-element threshold `τᵢ = μ + γ·cᵢ/sᵢ`,
     /// so an interior optimum (μ = 0, γ > 0) still yields a well-defined
-    /// relative deviation. Off the support, the marginal at `f → 0⁺`,
-    /// `pᵢ/(λᵢsᵢ)` per unit of bandwidth, must not beat `τᵢ`.
+    /// relative deviation. Off the support, the marginal at the element's
+    /// own frequency, `pᵢ/(λᵢsᵢ)` per unit of bandwidth at `fᵢ = 0`, must
+    /// not beat `τᵢ`.
     fn tally<L: FreshnessLaw>(&self, columns: &Columns, mu: f64, range: Range<usize>) -> Tally {
         let Columns {
             p,
@@ -445,8 +451,7 @@ impl SolutionAudit {
                 if tau <= 0.0 {
                     continue;
                 }
-                let at_zero = p[i] / (lam[i] * sizes[i]);
-                let excess = (at_zero - tau) / tau;
+                let excess = (columns.unfunded_marginal::<L>(i, f) - tau) / tau;
                 if excess > 0.0 {
                     tally.max_slack_excess = tally.max_slack_excess.max(excess);
                 }
@@ -507,6 +512,21 @@ impl Columns<'_> {
             0.0
         };
         (self.p[i] * L::gradient(self.lam[i], f) - levy) / self.sizes[i]
+    }
+
+    /// Element `i`'s bandwidth marginal before the levy, `pᵢ·g(fᵢ)/sᵢ`,
+    /// for an element below the support cut: `pᵢ/(λᵢsᵢ)` at `fᵢ = 0`.
+    /// Slackness holds it to `τᵢ` one-sidedly, at its own frequency: `g`
+    /// falls as `f` grows, so a frequency too small to count as funded
+    /// passes only if the marginal there is priced out, and a starved
+    /// element whose marginal stays above `τᵢ` still fails.
+    #[inline]
+    fn unfunded_marginal<L: FreshnessLaw>(&self, i: usize, f: f64) -> f64 {
+        if f > 0.0 {
+            self.p[i] * L::gradient(self.lam[i], f) / self.sizes[i]
+        } else {
+            self.p[i] / (self.lam[i] * self.sizes[i])
+        }
     }
 
     /// The mean funded marginal, the multiplier estimate for a solution
@@ -741,7 +761,8 @@ mod tests {
         // Complementary slackness off the support: the marginal at
         // `f → 0⁺` is `pᵢ/λᵢ` per refresh, `pᵢ/(λᵢsᵢ)` per unit of
         // bandwidth, and must not beat the waterline plus the per-poll
-        // levy.
+        // levy; an element funded below the cut is held to the same
+        // bound at its own frequency.
         let mut max_slack_excess = 0.0f64;
         for i in 0..n {
             let f = freqs[i];
@@ -760,8 +781,14 @@ mod tests {
             if tau <= 0.0 {
                 continue;
             }
-            let at_zero = p[i] / (lam[i] * sizes[i]);
-            let excess = (at_zero - tau) / tau;
+            // Below the cut but positive, the marginal at the element's
+            // own frequency.
+            let marginal = if f > 0.0 {
+                p[i] * policy.gradient(lam[i], f) / sizes[i]
+            } else {
+                p[i] / (lam[i] * sizes[i])
+            };
+            let excess = (marginal - tau) / tau;
             if excess > 0.0 {
                 max_slack_excess = max_slack_excess.max(excess);
             }
@@ -862,7 +889,8 @@ mod tests {
 
     /// Break `freqs` in every way the certificate reports: NaN, ±inf and
     /// negative entries, a funded static element, a funded element off
-    /// the waterline and a starved one that breaks slackness.
+    /// the waterline, a starved one that breaks slackness, and one moved
+    /// to a positive frequency below the support cut that breaks it too.
     fn doctor(rng: &mut SplitMix64, problem: &Problem, freqs: &mut [f64]) {
         let n = freqs.len();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.75] {
@@ -875,6 +903,11 @@ mod tests {
         if funded.len() >= 2 {
             freqs[funded[rng.below(funded.len())]] *= 1.1;
             freqs[funded[0]] = 0.0;
+        }
+        if funded.len() >= 3 {
+            let below = funded[funded.len() / 2];
+            let cut = SolutionAudit::default().support_tol * problem.bandwidth();
+            freqs[below] = 0.5 * cut / problem.sizes()[below];
         }
     }
 
@@ -985,6 +1018,47 @@ mod tests {
             assert!(
                 report.violations.iter().any(|v| v.kind == kind),
                 "{kind:?} missing: {}",
+                report.to_json()
+            );
+        }
+    }
+
+    /// The best-funded element starved to a positive frequency below the
+    /// support cut keeps a marginal above the waterline there, so it fails
+    /// slackness under either law, as it would at zero.
+    #[test]
+    fn an_element_starved_below_the_cut_is_still_flagged() {
+        let mut rng = SplitMix64::new(11);
+        for policy in [SyncPolicy::FixedOrder, SyncPolicy::Poisson] {
+            let mu = 1e-3;
+            let (problem, mut freqs) = match policy {
+                SyncPolicy::FixedOrder => waterline::<FixedOrder>(&mut rng, 64, true, (mu, 0.0)),
+                SyncPolicy::Poisson => waterline::<Poisson>(&mut rng, 64, true, (mu, 0.0)),
+            };
+            let best = (0..freqs.len())
+                .max_by(|&a, &b| freqs[a].total_cmp(&freqs[b]))
+                .unwrap();
+            let cut = SolutionAudit::default().support_tol * problem.bandwidth();
+            freqs[best] = 0.5 * cut / problem.sizes()[best];
+            assert!(freqs[best] > 0.0);
+            let solution = Solution {
+                frequencies: freqs,
+                perceived_freshness: 0.0,
+                general_freshness: 0.0,
+                bandwidth_used: 0.0,
+                multiplier: Some(mu),
+                cost_multiplier: None,
+                iterations: 0,
+            };
+            let report = SolutionAudit::default()
+                .check(&problem, &solution, policy)
+                .unwrap();
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| v.kind == ViolationKind::Slackness && v.element == Some(best)),
+                "{policy:?}: {}",
                 report.to_json()
             );
         }

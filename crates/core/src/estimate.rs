@@ -16,6 +16,14 @@
 //! * **bias-reduced** (Cho & Garcia-Molina's recommended estimator):
 //!   `λ̂ = −ln((n − x + 0.5) / (n + 0.5)) / I` — well-defined for all
 //!   `0 ≤ x ≤ n` and far less biased for frequently changing elements.
+//!
+//! The online estimators fold one poll at a time, each behind the same
+//! `observe(element, interval, changed)` / `rates(fallback)` interface:
+//! [`EwmaRateEstimator`] (stochastic approximation with a constant or a
+//! decreasing gain), [`WindowRateEstimator`] and [`LlnRateEstimator`]
+//! (the bias-reduced form over a sliding window or the whole history).
+
+use std::collections::VecDeque;
 
 use crate::error::{CoreError, Result};
 
@@ -118,81 +126,6 @@ impl PollHistory {
     }
 }
 
-/// A batch estimator that accumulates poll outcomes per element and emits
-/// the change-rate vector the scheduler consumes. This is the mirror-side
-/// component the paper describes: "frequency estimates would be
-/// periodically communicated to the mirror".
-#[derive(Debug, Clone)]
-pub struct ChangeRateEstimator {
-    polls: Vec<u64>,
-    detections: Vec<u64>,
-    interval: f64,
-}
-
-impl ChangeRateEstimator {
-    /// Create an estimator over `n` elements polled at `interval`.
-    pub fn new(n: usize, interval: f64) -> Result<Self> {
-        if n == 0 {
-            return Err(CoreError::Empty);
-        }
-        if !interval.is_finite() || interval <= 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "poll interval",
-                index: None,
-                value: interval,
-            });
-        }
-        Ok(ChangeRateEstimator {
-            polls: vec![0; n],
-            detections: vec![0; n],
-            interval,
-        })
-    }
-
-    /// Record the outcome of polling `element`: did it change since the
-    /// previous poll?
-    ///
-    /// # Panics
-    /// Panics when `element` is out of range.
-    pub fn record_poll(&mut self, element: usize, changed: bool) {
-        self.polls[element] += 1;
-        if changed {
-            self.detections[element] += 1;
-        }
-    }
-
-    /// Number of elements tracked.
-    pub fn len(&self) -> usize {
-        self.polls.len()
-    }
-
-    /// True when tracking zero elements (unreachable via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.polls.is_empty()
-    }
-
-    /// Bias-reduced rate estimates for all elements. Elements never polled
-    /// get `fallback` (e.g. the fleet-wide mean rate) rather than a bogus 0.
-    pub fn rates(&self, fallback: f64) -> Vec<f64> {
-        self.polls
-            .iter()
-            .zip(&self.detections)
-            .map(|(&n, &x)| {
-                if n == 0 {
-                    fallback
-                } else {
-                    PollHistory {
-                        polls: n,
-                        changes_detected: x,
-                        interval: self.interval,
-                    }
-                    .estimate_bias_reduced()
-                }
-            })
-            .collect()
-    }
-}
-
 /// Floor applied to online rate estimates so downstream [`Problem`]
 /// builders (which require strictly positive change rates) never see an
 /// exact zero.
@@ -205,47 +138,131 @@ pub const RATE_FLOOR: f64 = 1e-9;
 /// infinity. Every estimator in this module returns values `≤ RATE_CAP`.
 pub const RATE_CAP: f64 = 1e9;
 
-/// Recursive (constant-gain stochastic-approximation) online change-rate
-/// estimator, following Avrachenkov, Patil & Thoppe's online estimators
-/// for web-page change rates.
+/// Check a stochastic-approximation gain `g ∈ (0, 1]`.
+pub fn check_gain(gain: f64) -> Result<()> {
+    if gain.is_finite() && gain > 0.0 && gain <= 1.0 {
+        return Ok(());
+    }
+    Err(CoreError::InvalidValue {
+        what: "estimator gain",
+        index: None,
+        value: gain,
+    })
+}
+
+/// Check a decreasing-gain exponent `d ∈ (0.5, 1]`, the range where the
+/// gains `g/(1 + k)^d` meet the Robbins–Monro conditions.
+pub fn check_gain_decay(decay: f64) -> Result<()> {
+    if decay.is_finite() && decay > 0.5 && decay <= 1.0 {
+        return Ok(());
+    }
+    Err(CoreError::InvalidValue {
+        what: "estimator gain decay",
+        index: None,
+        value: decay,
+    })
+}
+
+/// Check a sliding-window length: at least one poll.
+pub fn check_window(len: usize) -> Result<()> {
+    if len == 0 {
+        return Err(CoreError::InvalidConfig(
+            "sliding window needs at least one slot".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Reject a poll of an element outside `0..len`, or one whose interval
+/// is not finite and positive.
+fn check_observation(len: usize, element: usize, interval: f64) -> Result<()> {
+    if element >= len {
+        return Err(CoreError::InvalidValue {
+            what: "estimator element",
+            index: Some(element),
+            value: element as f64,
+        });
+    }
+    if !interval.is_finite() || interval <= 0.0 {
+        return Err(CoreError::InvalidValue {
+            what: "poll interval",
+            index: Some(element),
+            value: interval,
+        });
+    }
+    Ok(())
+}
+
+/// The bias-reduced estimate over `polls` polls with `detections` changes
+/// and intervals summing to `interval_sum`, clamped to
+/// `[RATE_FLOOR, RATE_CAP]`; exactly `fallback` when `polls` is 0.
+fn bias_reduced_rate(polls: u64, detections: u64, interval_sum: f64, fallback: f64) -> f64 {
+    if polls == 0 {
+        return fallback;
+    }
+    PollHistory {
+        polls,
+        changes_detected: detections,
+        interval: interval_sum / polls as f64,
+    }
+    .estimate_bias_reduced()
+    .clamp(RATE_FLOOR, RATE_CAP)
+}
+
+/// Stochastic-approximation online change-rate estimator, following
+/// Avrachenkov, Patil & Thoppe's online estimators for web-page change
+/// rates.
 ///
 /// Each poll of element `i` after interval `τ` reveals the Bernoulli
 /// indicator `I = 1{changed}` with `E[I] = 1 − e^{−λᵢτ}`. The estimator
-/// performs one stochastic-approximation step toward the root of that
-/// moment equation:
+/// takes one step toward the root of that moment equation, with a gain
+/// `η_k` set by the element's poll count `k`:
 ///
 /// ```text
-/// λ̂ ← λ̂ + (g/τ) · (I − (1 − e^{−λ̂τ}))
+/// λ̂ ← λ̂ + (η_k/τ) · (I − (1 − e^{−λ̂τ}))    η_k = g / (1 + k)^d
 /// ```
 ///
-/// With a constant gain `g ∈ (0, 1]` this is the recursive analogue of an
-/// exponentially weighted moving average: the fixed point is the true rate
-/// and old observations decay geometrically, so the estimate *tracks* a
-/// drifting λ instead of averaging over its whole history. The `1/τ`
-/// scaling keeps the step size in rate units, making convergence speed
-/// first-order independent of the polling interval.
+/// The `1/τ` scaling keeps the step in rate units, so convergence speed
+/// is first-order independent of the polling interval. Two schedules:
+///
+/// * **constant gain** (`d = 0`, [`new`](Self::new)): the EWMA case.
+///   Old observations decay geometrically, so the estimate *tracks* a
+///   drifting λ, but its noise floor never shrinks;
+/// * **decreasing gain** (`d ∈ (0.5, 1]`, [`decreasing`](Self::decreasing)):
+///   the Robbins–Monro conditions (`Ση_k = ∞`, `Ση_k² < ∞`) hold, so on a
+///   stationary source the iterate converges almost surely and the noise
+///   floor vanishes. After a rate shift it re-converges more slowly (the
+///   gain has already decayed), the trade `exp_estimators` measures.
 #[derive(Debug, Clone)]
 pub struct EwmaRateEstimator {
     rates: Vec<f64>,
     seen: Vec<u64>,
     gain: f64,
+    /// Gain decay exponent `d`; 0 is the constant-gain schedule.
+    decay: f64,
 }
 
 impl EwmaRateEstimator {
-    /// Create an estimator over `n` elements with step `gain ∈ (0, 1]`,
-    /// starting every element at the `prior` rate (e.g. the fleet-wide
-    /// mean).
+    /// Create a constant-gain (EWMA) estimator over `n` elements with
+    /// step `gain ∈ (0, 1]`, starting every element at the `prior` rate
+    /// (e.g. the fleet-wide mean).
     pub fn new(n: usize, gain: f64, prior: f64) -> Result<Self> {
+        Self::from_prior(n, gain, 0.0, prior)
+    }
+
+    /// Create a decreasing-gain estimator over `n` elements: initial gain
+    /// `gain ∈ (0, 1]` decaying as `(1 + k)^{-decay}` with
+    /// `decay ∈ (0.5, 1]`, starting every element at the `prior` rate.
+    pub fn decreasing(n: usize, gain: f64, decay: f64, prior: f64) -> Result<Self> {
+        check_gain_decay(decay)?;
+        Self::from_prior(n, gain, decay, prior)
+    }
+
+    fn from_prior(n: usize, gain: f64, decay: f64, prior: f64) -> Result<Self> {
         if n == 0 {
             return Err(CoreError::Empty);
         }
-        if !gain.is_finite() || gain <= 0.0 || gain > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "estimator gain",
-                index: None,
-                value: gain,
-            });
-        }
+        check_gain(gain)?;
         if !prior.is_finite() || prior <= 0.0 {
             return Err(CoreError::InvalidValue {
                 what: "prior change rate",
@@ -257,6 +274,7 @@ impl EwmaRateEstimator {
             rates: vec![prior; n],
             seen: vec![0; n],
             gain,
+            decay,
         })
     }
 
@@ -274,24 +292,16 @@ impl EwmaRateEstimator {
     /// after its previous poll and `changed` says whether new content was
     /// found.
     pub fn observe(&mut self, element: usize, interval: f64, changed: bool) -> Result<()> {
-        if element >= self.rates.len() {
-            return Err(CoreError::InvalidValue {
-                what: "estimator element",
-                index: Some(element),
-                value: element as f64,
-            });
-        }
-        if !interval.is_finite() || interval <= 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "poll interval",
-                index: Some(element),
-                value: interval,
-            });
-        }
+        check_observation(self.rates.len(), element, interval)?;
+        let eta = if self.decay == 0.0 {
+            self.gain
+        } else {
+            self.gain / (1.0 + self.seen[element] as f64).powf(self.decay)
+        };
         let lambda = self.rates[element];
         let expected = 1.0 - (-lambda * interval).exp();
         let indicator = f64::from(changed);
-        let step = self.gain / interval * (indicator - expected);
+        let step = eta / interval * (indicator - expected);
         self.rates[element] = (lambda + step).clamp(RATE_FLOOR, RATE_CAP);
         self.seen[element] += 1;
         Ok(())
@@ -313,9 +323,8 @@ impl EwmaRateEstimator {
         self.seen[element]
     }
 
-    /// Current rate estimates for all elements. The `fallback` replaces
-    /// the prior for elements never polled, mirroring
-    /// [`ChangeRateEstimator::rates`].
+    /// Current rate estimates for all elements; never-polled elements get
+    /// exactly `fallback` instead of the prior.
     pub fn rates(&self, fallback: f64) -> Vec<f64> {
         self.rates
             .iter()
@@ -332,16 +341,17 @@ impl EwmaRateEstimator {
     }
 
     /// Per-element observation counts (the checkpointable companion to
-    /// [`raw_rates`](Self::raw_rates)).
+    /// [`raw_rates`](Self::raw_rates); they also position a decreasing
+    /// gain schedule, so kill/resume continues the same sequence).
     pub fn observation_counts(&self) -> &[u64] {
         &self.seen
     }
 
-    /// Rebuild an estimator from checkpointed state. The `gain` comes from
-    /// configuration; `rates`/`seen` are what
-    /// [`raw_rates`](Self::raw_rates) and
+    /// Rebuild an estimator from checkpointed state. `gain` and `decay`
+    /// come from configuration (`decay` 0 for constant gain);
+    /// `rates`/`seen` are what [`raw_rates`](Self::raw_rates) and
     /// [`observation_counts`](Self::observation_counts) exported.
-    pub fn from_state(rates: Vec<f64>, seen: Vec<u64>, gain: f64) -> Result<Self> {
+    pub fn from_state(rates: Vec<f64>, seen: Vec<u64>, gain: f64, decay: f64) -> Result<Self> {
         if rates.is_empty() {
             return Err(CoreError::Empty);
         }
@@ -352,12 +362,9 @@ impl EwmaRateEstimator {
                 actual: seen.len(),
             });
         }
-        if !gain.is_finite() || gain <= 0.0 || gain > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "estimator gain",
-                index: None,
-                value: gain,
-            });
+        check_gain(gain)?;
+        if decay != 0.0 {
+            check_gain_decay(decay)?;
         }
         for (i, &r) in rates.iter().enumerate() {
             if !r.is_finite() || r <= 0.0 {
@@ -368,7 +375,12 @@ impl EwmaRateEstimator {
                 });
             }
         }
-        Ok(EwmaRateEstimator { rates, seen, gain })
+        Ok(EwmaRateEstimator {
+            rates,
+            seen,
+            gain,
+            decay,
+        })
     }
 }
 
@@ -382,9 +394,8 @@ impl EwmaRateEstimator {
 #[derive(Debug, Clone)]
 pub struct WindowRateEstimator {
     window: usize,
-    // Per element: ring of (interval, changed) pairs, newest last.
-    intervals: Vec<std::collections::VecDeque<f64>>,
-    changes: Vec<std::collections::VecDeque<bool>>,
+    /// Per element: the retained `(interval, changed)` pairs, newest last.
+    polls: Vec<VecDeque<(f64, bool)>>,
 }
 
 impl WindowRateEstimator {
@@ -394,51 +405,32 @@ impl WindowRateEstimator {
         if n == 0 {
             return Err(CoreError::Empty);
         }
-        if window == 0 {
-            return Err(CoreError::InvalidConfig(
-                "sliding window needs at least one slot".into(),
-            ));
-        }
+        check_window(window)?;
         Ok(WindowRateEstimator {
             window,
-            intervals: vec![std::collections::VecDeque::with_capacity(window); n],
-            changes: vec![std::collections::VecDeque::with_capacity(window); n],
+            polls: vec![VecDeque::with_capacity(window); n],
         })
     }
 
     /// Number of elements tracked.
     pub fn len(&self) -> usize {
-        self.intervals.len()
+        self.polls.len()
     }
 
     /// True when tracking zero elements (unreachable via `new`).
     pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.polls.is_empty()
     }
 
     /// Fold in one poll outcome, evicting the oldest once the window is
     /// full.
     pub fn observe(&mut self, element: usize, interval: f64, changed: bool) -> Result<()> {
-        if element >= self.intervals.len() {
-            return Err(CoreError::InvalidValue {
-                what: "estimator element",
-                index: Some(element),
-                value: element as f64,
-            });
+        check_observation(self.polls.len(), element, interval)?;
+        let polls = &mut self.polls[element];
+        if polls.len() == self.window {
+            polls.pop_front();
         }
-        if !interval.is_finite() || interval <= 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "poll interval",
-                index: Some(element),
-                value: interval,
-            });
-        }
-        if self.intervals[element].len() == self.window {
-            self.intervals[element].pop_front();
-            self.changes[element].pop_front();
-        }
-        self.intervals[element].push_back(interval);
-        self.changes[element].push_back(changed);
+        polls.push_back((interval, changed));
         Ok(())
     }
 
@@ -448,20 +440,10 @@ impl WindowRateEstimator {
     /// # Panics
     /// Panics when `element` is out of range.
     pub fn rate(&self, element: usize, fallback: f64) -> f64 {
-        let n = self.intervals[element].len() as u64;
-        if n == 0 {
-            return fallback;
-        }
-        let x = self.changes[element].iter().filter(|&&c| c).count() as u64;
-        let mean_interval =
-            self.intervals[element].iter().sum::<f64>() / self.intervals[element].len() as f64;
-        let estimate = PollHistory {
-            polls: n,
-            changes_detected: x,
-            interval: mean_interval,
-        }
-        .estimate_bias_reduced();
-        estimate.clamp(RATE_FLOOR, RATE_CAP)
+        let polls = &self.polls[element];
+        let detections = polls.iter().filter(|&&(_, changed)| changed).count() as u64;
+        let interval_sum = polls.iter().map(|&(interval, _)| interval).sum::<f64>();
+        bias_reduced_rate(polls.len() as u64, detections, interval_sum, fallback)
     }
 
     /// Polls currently inside one element's window.
@@ -469,13 +451,13 @@ impl WindowRateEstimator {
     /// # Panics
     /// Panics when `element` is out of range.
     pub fn observations(&self, element: usize) -> u64 {
-        self.intervals[element].len() as u64
+        self.polls[element].len() as u64
     }
 
     /// Rate estimates for all elements (never-polled elements get
     /// `fallback`).
     pub fn rates(&self, fallback: f64) -> Vec<f64> {
-        (0..self.intervals.len())
+        (0..self.polls.len())
             .map(|i| self.rate(i, fallback))
             .collect()
     }
@@ -488,24 +470,15 @@ impl WindowRateEstimator {
     /// Checkpointable contents: per element, the retained
     /// `(interval, changed)` pairs oldest-first.
     pub fn entries(&self) -> Vec<Vec<(f64, bool)>> {
-        self.intervals
+        self.polls
             .iter()
-            .zip(&self.changes)
-            .map(|(iv, ch)| iv.iter().copied().zip(ch.iter().copied()).collect())
+            .map(|p| p.iter().copied().collect())
             .collect()
     }
 
     /// Rebuild an estimator from checkpointed state exported by
     /// [`entries`](Self::entries).
     pub fn from_state(window: usize, entries: Vec<Vec<(f64, bool)>>) -> Result<Self> {
-        if entries.is_empty() {
-            return Err(CoreError::Empty);
-        }
-        if window == 0 {
-            return Err(CoreError::InvalidConfig(
-                "sliding window needs at least one slot".into(),
-            ));
-        }
         let mut estimator = WindowRateEstimator::new(entries.len(), window)?;
         for (element, polls) in entries.into_iter().enumerate() {
             if polls.len() > window {
@@ -567,20 +540,7 @@ impl LlnRateEstimator {
 
     /// Fold in one poll outcome.
     pub fn observe(&mut self, element: usize, interval: f64, changed: bool) -> Result<()> {
-        if element >= self.polls.len() {
-            return Err(CoreError::InvalidValue {
-                what: "estimator element",
-                index: Some(element),
-                value: element as f64,
-            });
-        }
-        if !interval.is_finite() || interval <= 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "poll interval",
-                index: Some(element),
-                value: interval,
-            });
-        }
+        check_observation(self.polls.len(), element, interval)?;
         self.polls[element] += 1;
         if changed {
             self.detections[element] += 1;
@@ -595,17 +555,12 @@ impl LlnRateEstimator {
     /// # Panics
     /// Panics when `element` is out of range.
     pub fn rate(&self, element: usize, fallback: f64) -> f64 {
-        let n = self.polls[element];
-        if n == 0 {
-            return fallback;
-        }
-        let estimate = PollHistory {
-            polls: n,
-            changes_detected: self.detections[element],
-            interval: self.interval_sum[element] / n as f64,
-        }
-        .estimate_bias_reduced();
-        estimate.clamp(RATE_FLOOR, RATE_CAP)
+        bias_reduced_rate(
+            self.polls[element],
+            self.detections[element],
+            self.interval_sum[element],
+            fallback,
+        )
     }
 
     /// Polls folded in for one element so far.
@@ -676,193 +631,6 @@ impl LlnRateEstimator {
     }
 }
 
-/// Stochastic-approximation online change-rate estimator with a
-/// *decreasing* gain sequence, following Avrachenkov, Patil & Thoppe's SA
-/// estimator for web-page change rates.
-///
-/// The update is the same moment-equation step as the constant-gain
-/// [`EwmaRateEstimator`]:
-///
-/// ```text
-/// λ̂ ← λ̂ + (η_k/τ) · (I − (1 − e^{−λ̂τ}))    η_k = g₀ / (1 + k)^d
-/// ```
-///
-/// but with gain `η_k` decaying in the element's poll count `k`. Under
-/// the standard Robbins–Monro conditions (`Ση_k = ∞`, `Ση_k² < ∞`, which
-/// `d ∈ (0.5, 1]` satisfies) the iterate converges almost surely to the
-/// true rate on a stationary source — the noise floor vanishes instead of
-/// persisting as with a constant gain. After a rate shift it re-converges
-/// more slowly than EWMA (the gain has already decayed), which is the
-/// classic tracking-vs-precision trade the `exp_estimators` bench
-/// measures.
-#[derive(Debug, Clone)]
-pub struct SaRateEstimator {
-    rates: Vec<f64>,
-    seen: Vec<u64>,
-    gain: f64,
-    decay: f64,
-}
-
-impl SaRateEstimator {
-    /// Create an estimator over `n` elements with initial gain
-    /// `gain ∈ (0, 1]` decaying as `(1 + k)^{-decay}` with
-    /// `decay ∈ (0.5, 1]`, starting every element at the `prior` rate.
-    pub fn new(n: usize, gain: f64, decay: f64, prior: f64) -> Result<Self> {
-        if n == 0 {
-            return Err(CoreError::Empty);
-        }
-        if !gain.is_finite() || gain <= 0.0 || gain > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "estimator gain",
-                index: None,
-                value: gain,
-            });
-        }
-        if !decay.is_finite() || decay <= 0.5 || decay > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "estimator gain decay",
-                index: None,
-                value: decay,
-            });
-        }
-        if !prior.is_finite() || prior <= 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "prior change rate",
-                index: None,
-                value: prior,
-            });
-        }
-        Ok(SaRateEstimator {
-            rates: vec![prior; n],
-            seen: vec![0; n],
-            gain,
-            decay,
-        })
-    }
-
-    /// Number of elements tracked.
-    pub fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// True when tracking zero elements (unreachable via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
-    }
-
-    /// Fold in one poll outcome with the element's current (decayed) gain.
-    pub fn observe(&mut self, element: usize, interval: f64, changed: bool) -> Result<()> {
-        if element >= self.rates.len() {
-            return Err(CoreError::InvalidValue {
-                what: "estimator element",
-                index: Some(element),
-                value: element as f64,
-            });
-        }
-        if !interval.is_finite() || interval <= 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "poll interval",
-                index: Some(element),
-                value: interval,
-            });
-        }
-        let k = self.seen[element] as f64;
-        let eta = self.gain / (1.0 + k).powf(self.decay);
-        let lambda = self.rates[element];
-        let expected = 1.0 - (-lambda * interval).exp();
-        let indicator = f64::from(changed);
-        let step = eta / interval * (indicator - expected);
-        self.rates[element] = (lambda + step).clamp(RATE_FLOOR, RATE_CAP);
-        self.seen[element] += 1;
-        Ok(())
-    }
-
-    /// Current rate estimate for one element.
-    ///
-    /// # Panics
-    /// Panics when `element` is out of range.
-    pub fn rate(&self, element: usize) -> f64 {
-        self.rates[element]
-    }
-
-    /// Polls folded in for one element so far.
-    ///
-    /// # Panics
-    /// Panics when `element` is out of range.
-    pub fn observations(&self, element: usize) -> u64 {
-        self.seen[element]
-    }
-
-    /// Current rate estimates for all elements; never-polled elements get
-    /// exactly `fallback` instead of the prior.
-    pub fn rates(&self, fallback: f64) -> Vec<f64> {
-        self.rates
-            .iter()
-            .zip(&self.seen)
-            .map(|(&r, &n)| if n == 0 { fallback } else { r })
-            .collect()
-    }
-
-    /// The raw per-element estimates including priors — the
-    /// checkpointable state.
-    pub fn raw_rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Per-element observation counts (the checkpointable companion to
-    /// [`raw_rates`](Self::raw_rates); they also position the gain
-    /// schedule, so kill/resume continues the same decay sequence).
-    pub fn observation_counts(&self) -> &[u64] {
-        &self.seen
-    }
-
-    /// Rebuild an estimator from checkpointed state. `gain`/`decay` come
-    /// from configuration; `rates`/`seen` are what
-    /// [`raw_rates`](Self::raw_rates) and
-    /// [`observation_counts`](Self::observation_counts) exported.
-    pub fn from_state(rates: Vec<f64>, seen: Vec<u64>, gain: f64, decay: f64) -> Result<Self> {
-        if rates.is_empty() {
-            return Err(CoreError::Empty);
-        }
-        if seen.len() != rates.len() {
-            return Err(CoreError::LengthMismatch {
-                what: "estimator observation counts",
-                expected: rates.len(),
-                actual: seen.len(),
-            });
-        }
-        if !gain.is_finite() || gain <= 0.0 || gain > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "estimator gain",
-                index: None,
-                value: gain,
-            });
-        }
-        if !decay.is_finite() || decay <= 0.5 || decay > 1.0 {
-            return Err(CoreError::InvalidValue {
-                what: "estimator gain decay",
-                index: None,
-                value: decay,
-            });
-        }
-        for (i, &r) in rates.iter().enumerate() {
-            if !r.is_finite() || r <= 0.0 {
-                return Err(CoreError::InvalidValue {
-                    what: "estimator rate",
-                    index: Some(i),
-                    value: r,
-                });
-            }
-        }
-        Ok(SaRateEstimator {
-            rates,
-            seen,
-            gain,
-            decay,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -926,31 +694,6 @@ mod tests {
         let h1 = PollHistory::new(100, 50, 1.0).unwrap();
         let h2 = PollHistory::new(100, 50, 2.0).unwrap();
         assert!((h1.estimate_bias_reduced() / h2.estimate_bias_reduced() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_estimator_roundtrip() {
-        let mut e = ChangeRateEstimator::new(2, 1.0).unwrap();
-        // Element 0 changes every poll (fast); element 1 rarely.
-        for i in 0..100 {
-            e.record_poll(0, i % 2 == 0);
-            e.record_poll(1, i == 0);
-        }
-        let rates = e.rates(99.0);
-        assert!(rates[0] > rates[1]);
-        assert!(rates[1] > 0.0);
-    }
-
-    #[test]
-    fn batch_estimator_fallback_for_unpolled() {
-        let e = ChangeRateEstimator::new(3, 1.0).unwrap();
-        assert_eq!(e.rates(7.0), vec![7.0, 7.0, 7.0]);
-    }
-
-    #[test]
-    fn batch_estimator_validation() {
-        assert!(ChangeRateEstimator::new(0, 1.0).is_err());
-        assert!(ChangeRateEstimator::new(3, -1.0).is_err());
     }
 
     /// Deterministic synthetic poll feed: polls at fixed `interval`
@@ -1051,12 +794,13 @@ mod tests {
     fn online_estimators_agree_with_batch_in_steady_state() {
         // Same regular feed into the batch and both online estimators:
         // everything should land near the same bias-reduced answer.
-        let mut batch = ChangeRateEstimator::new(1, 0.5).unwrap();
+        let (mut polls, mut detections) = (0u64, 0u64);
         let mut ewma = EwmaRateEstimator::new(1, 0.02, 2.0).unwrap();
         let mut window = WindowRateEstimator::new(1, 1000).unwrap();
         feed_polls(
             &mut |i, c| {
-                batch.record_poll(0, c);
+                polls += 1;
+                detections += u64::from(c);
                 ewma.observe(0, i, c).unwrap();
                 window.observe(0, i, c).unwrap();
             },
@@ -1064,7 +808,9 @@ mod tests {
             0.5,
             1000,
         );
-        let b = batch.rates(0.0)[0];
+        let b = PollHistory::new(polls, detections, 0.5)
+            .unwrap()
+            .estimate_bias_reduced();
         let e = ewma.rate(0);
         let w = window.rate(0, 0.0);
         assert!((b - w).abs() < 0.05, "batch {b} vs window {w}");
@@ -1168,7 +914,7 @@ mod tests {
 
     #[test]
     fn sa_estimator_converges_to_true_rate() {
-        let mut e = SaRateEstimator::new(1, 1.0, 0.6, 1.0).unwrap();
+        let mut e = EwmaRateEstimator::decreasing(1, 1.0, 0.6, 1.0).unwrap();
         feed_polls(&mut |i, c| e.observe(0, i, c).unwrap(), 3.0, 0.25, 4000);
         let est = e.rate(0);
         assert!((est - 3.0).abs() < 0.25, "estimated {est}, want ≈3");
@@ -1179,7 +925,7 @@ mod tests {
     fn sa_beats_constant_gain_in_steady_state() {
         // Same feed: the decreasing-gain iterate must land closer to the
         // truth than the constant-gain EWMA, whose noise floor persists.
-        let mut sa = SaRateEstimator::new(1, 1.0, 0.6, 1.0).unwrap();
+        let mut sa = EwmaRateEstimator::decreasing(1, 1.0, 0.6, 1.0).unwrap();
         let mut ewma = EwmaRateEstimator::new(1, 0.05, 1.0).unwrap();
         feed_polls(
             &mut |i, c| {
@@ -1200,30 +946,30 @@ mod tests {
 
     #[test]
     fn sa_estimator_fallback_and_validation() {
-        let e = SaRateEstimator::new(2, 0.5, 0.75, 5.0).unwrap();
+        let e = EwmaRateEstimator::decreasing(2, 0.5, 0.75, 5.0).unwrap();
         assert_eq!(e.rates(7.0), vec![7.0, 7.0], "unpolled gets fallback");
-        assert!(SaRateEstimator::new(0, 0.5, 0.75, 1.0).is_err());
-        assert!(SaRateEstimator::new(2, 0.0, 0.75, 1.0).is_err());
-        assert!(SaRateEstimator::new(2, 1.5, 0.75, 1.0).is_err());
+        assert!(EwmaRateEstimator::decreasing(0, 0.5, 0.75, 1.0).is_err());
+        assert!(EwmaRateEstimator::decreasing(2, 0.0, 0.75, 1.0).is_err());
+        assert!(EwmaRateEstimator::decreasing(2, 1.5, 0.75, 1.0).is_err());
         assert!(
-            SaRateEstimator::new(2, 0.5, 0.5, 1.0).is_err(),
+            EwmaRateEstimator::decreasing(2, 0.5, 0.5, 1.0).is_err(),
             "decay too small"
         );
         assert!(
-            SaRateEstimator::new(2, 0.5, 1.5, 1.0).is_err(),
+            EwmaRateEstimator::decreasing(2, 0.5, 1.5, 1.0).is_err(),
             "decay too large"
         );
-        assert!(SaRateEstimator::new(2, 0.5, 0.75, 0.0).is_err());
-        let mut e = SaRateEstimator::new(2, 0.5, 0.75, 1.0).unwrap();
+        assert!(EwmaRateEstimator::decreasing(2, 0.5, 0.75, 0.0).is_err());
+        let mut e = EwmaRateEstimator::decreasing(2, 0.5, 0.75, 1.0).unwrap();
         assert!(e.observe(5, 1.0, true).is_err(), "out of range");
         assert!(e.observe(0, 0.0, true).is_err(), "bad interval");
     }
 
     #[test]
     fn sa_state_roundtrip_continues_the_gain_schedule() {
-        let mut e = SaRateEstimator::new(2, 1.0, 0.6, 1.0).unwrap();
+        let mut e = EwmaRateEstimator::decreasing(2, 1.0, 0.6, 1.0).unwrap();
         feed_polls(&mut |i, c| e.observe(0, i, c).unwrap(), 2.0, 0.5, 500);
-        let back = SaRateEstimator::from_state(
+        let back = EwmaRateEstimator::from_state(
             e.raw_rates().to_vec(),
             e.observation_counts().to_vec(),
             1.0,
@@ -1238,7 +984,79 @@ mod tests {
         feed_polls(&mut |i, c| a.observe(0, i, c).unwrap(), 2.0, 0.5, 100);
         feed_polls(&mut |i, c| b.observe(0, i, c).unwrap(), 2.0, 0.5, 100);
         assert_eq!(a.raw_rates(), b.raw_rates());
-        assert!(SaRateEstimator::from_state(vec![1.0], vec![0, 0], 0.5, 0.75).is_err());
-        assert!(SaRateEstimator::from_state(vec![-1.0], vec![0], 0.5, 0.75).is_err());
+        assert!(EwmaRateEstimator::from_state(vec![1.0], vec![0, 0], 0.5, 0.75).is_err());
+        assert!(EwmaRateEstimator::from_state(vec![-1.0], vec![0], 0.5, 0.75).is_err());
+        assert!(EwmaRateEstimator::from_state(vec![1.0], vec![0], 0.5, 0.3).is_err());
+    }
+
+    /// The constant-gain (EWMA) update rule as its own estimator wrote it.
+    fn ewma_step(lambda: f64, gain: f64, interval: f64, changed: bool) -> f64 {
+        let expected = 1.0 - (-lambda * interval).exp();
+        let indicator = f64::from(changed);
+        let step = gain / interval * (indicator - expected);
+        (lambda + step).clamp(RATE_FLOOR, RATE_CAP)
+    }
+
+    /// The decreasing-gain (SA) update rule as its own estimator wrote it,
+    /// `k` polls into the element's gain schedule.
+    fn sa_step(
+        lambda: f64,
+        k: u64,
+        (gain, decay): (f64, f64),
+        interval: f64,
+        changed: bool,
+    ) -> f64 {
+        let eta = gain / (1.0 + k as f64).powf(decay);
+        let expected = 1.0 - (-lambda * interval).exp();
+        let indicator = f64::from(changed);
+        let step = eta / interval * (indicator - expected);
+        (lambda + step).clamp(RATE_FLOOR, RATE_CAP)
+    }
+
+    #[test]
+    fn gain_schedules_reproduce_the_separate_update_rules_bit_for_bit() {
+        let (n, prior) = (6, 1.0);
+        for (gain, decay) in [(0.1, 0.0), (0.5, 0.6), (0.5, 1.0)] {
+            let mut estimator = if decay == 0.0 {
+                EwmaRateEstimator::new(n, gain, prior)
+            } else {
+                EwmaRateEstimator::decreasing(n, gain, decay, prior)
+            }
+            .unwrap();
+            let mut rates = vec![prior; n];
+            let mut seen = vec![0u64; n];
+            let mut rng = crate::rng::SplitMix64::new(0x5a ^ decay.to_bits());
+            for k in 0..6000 {
+                if k == 3000 {
+                    estimator = EwmaRateEstimator::from_state(
+                        estimator.raw_rates().to_vec(),
+                        estimator.observation_counts().to_vec(),
+                        gain,
+                        decay,
+                    )
+                    .unwrap();
+                }
+                // Element 5 is never polled; the rest change at 0.3–3.5.
+                let i = rng.below(n - 1);
+                let interval = rng.range(0.05, 2.0);
+                let truth = 0.3 + 0.8 * i as f64;
+                let changed = rng.next_f64() < 1.0 - (-truth * interval).exp();
+                estimator.observe(i, interval, changed).unwrap();
+                rates[i] = if decay == 0.0 {
+                    ewma_step(rates[i], gain, interval, changed)
+                } else {
+                    sa_step(rates[i], seen[i], (gain, decay), interval, changed)
+                };
+                seen[i] += 1;
+            }
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(estimator.raw_rates()),
+                bits(&rates),
+                "g={gain} d={decay}"
+            );
+            assert_eq!(estimator.observation_counts(), &seen[..]);
+            assert_eq!(estimator.rates(7.0)[n - 1], 7.0);
+        }
     }
 }

@@ -216,7 +216,6 @@ mod tests {
     fn destroyed_credit_is_flagged() {
         let outcome = EpochOutcome {
             polls: Vec::new(),
-            succeeded: vec![0],
             starved: vec![true],
             dispatched: 2,
             failures: 2,
@@ -239,7 +238,6 @@ mod tests {
     fn negative_credit_is_flagged_even_when_balanced() {
         let outcome = EpochOutcome {
             polls: Vec::new(),
-            succeeded: vec![0],
             starved: vec![false],
             dispatched: 0,
             failures: 0,
@@ -257,7 +255,6 @@ mod tests {
     fn clear_resets_the_ledger() {
         let outcome = EpochOutcome {
             polls: Vec::new(),
-            succeeded: vec![0],
             starved: vec![false],
             dispatched: 0,
             failures: 0,

@@ -2,17 +2,18 @@
 //! budget, and failure-injection knobs.
 
 use freshen_core::error::{CoreError, Result};
+use freshen_core::estimate;
 use freshen_core::profile::ProfileEstimator;
 use freshen_obs::SloConfig;
 
 /// Which incremental change-rate estimator the engine maintains.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorKind {
-    /// Recursive constant-gain stochastic-approximation estimator
-    /// ([`EwmaRateEstimator`]) — `O(1)` memory per element, geometric
+    /// Constant-gain stochastic-approximation estimator
+    /// ([`EwmaRateEstimator::new`]) — `O(1)` memory per element, geometric
     /// forgetting with step `gain ∈ (0, 1]`.
     ///
-    /// [`EwmaRateEstimator`]: freshen_core::estimate::EwmaRateEstimator
+    /// [`EwmaRateEstimator::new`]: freshen_core::estimate::EwmaRateEstimator::new
     Ewma {
         /// Stochastic-approximation step size.
         gain: f64,
@@ -33,11 +34,11 @@ pub enum EstimatorKind {
     /// [`LlnRateEstimator`]: freshen_core::estimate::LlnRateEstimator
     Lln,
     /// Decreasing-gain stochastic-approximation estimator
-    /// ([`SaRateEstimator`]) — Robbins–Monro schedule
+    /// ([`EwmaRateEstimator::decreasing`]) — Robbins–Monro schedule
     /// `η_k = gain/(1+k)^decay`, almost-sure convergence with a vanishing
     /// noise floor on stationary streams.
     ///
-    /// [`SaRateEstimator`]: freshen_core::estimate::SaRateEstimator
+    /// [`EwmaRateEstimator::decreasing`]: freshen_core::estimate::EwmaRateEstimator::decreasing
     Sa {
         /// Initial gain `g₀ ∈ (0, 1]`.
         gain: f64,
@@ -199,26 +200,12 @@ impl EngineConfig {
             return Err(bad("repair fraction", self.repair_fraction));
         }
         match self.estimator {
-            EstimatorKind::Ewma { gain } => {
-                if !gain.is_finite() || gain <= 0.0 || gain > 1.0 {
-                    return Err(bad("estimator gain", gain));
-                }
-            }
-            EstimatorKind::Window { len } => {
-                if len == 0 {
-                    return Err(CoreError::InvalidConfig(
-                        "window estimator needs ≥ 1 slot".into(),
-                    ));
-                }
-            }
+            EstimatorKind::Ewma { gain } => estimate::check_gain(gain)?,
+            EstimatorKind::Window { len } => estimate::check_window(len)?,
             EstimatorKind::Lln => {}
             EstimatorKind::Sa { gain, decay } => {
-                if !gain.is_finite() || gain <= 0.0 || gain > 1.0 {
-                    return Err(bad("estimator gain", gain));
-                }
-                if !decay.is_finite() || decay <= 0.5 || decay > 1.0 {
-                    return Err(bad("estimator gain decay", decay));
-                }
+                estimate::check_gain(gain)?;
+                estimate::check_gain_decay(decay)?;
             }
         }
         if !self.poll_cost.is_finite() || self.poll_cost < 0.0 {

@@ -18,9 +18,7 @@ use std::iter::Peekable;
 use std::time::Instant;
 
 use freshen_core::error::{CoreError, Result};
-use freshen_core::estimate::{
-    EwmaRateEstimator, LlnRateEstimator, SaRateEstimator, WindowRateEstimator,
-};
+use freshen_core::estimate::{EwmaRateEstimator, LlnRateEstimator, WindowRateEstimator};
 use freshen_core::exec::Executor;
 use freshen_core::problem::{Problem, Solution};
 use freshen_core::profile::ProfileEstimator;
@@ -35,13 +33,14 @@ use crate::report::{EngineReport, EpochStats};
 use crate::source::PollSource;
 use crate::state::{EngineState, EstimatorState};
 
-/// The configured change-rate estimator behind one interface.
+/// The configured change-rate estimator behind one interface. Both
+/// stochastic-approximation kinds (constant and decreasing gain) are one
+/// [`EwmaRateEstimator`]; the kind and its schedule come from the config.
 #[derive(Debug)]
 enum RateTracker {
     Ewma(EwmaRateEstimator),
     Window(WindowRateEstimator),
     Lln(LlnRateEstimator),
-    Sa(SaRateEstimator),
 }
 
 impl RateTracker {
@@ -53,7 +52,7 @@ impl RateTracker {
             EstimatorKind::Window { len } => RateTracker::Window(WindowRateEstimator::new(n, len)?),
             EstimatorKind::Lln => RateTracker::Lln(LlnRateEstimator::new(n)?),
             EstimatorKind::Sa { gain, decay } => {
-                RateTracker::Sa(SaRateEstimator::new(n, gain, decay, prior)?)
+                RateTracker::Ewma(EwmaRateEstimator::decreasing(n, gain, decay, prior)?)
             }
         })
     }
@@ -63,7 +62,6 @@ impl RateTracker {
             RateTracker::Ewma(e) => e.observe(element, interval, changed),
             RateTracker::Window(e) => e.observe(element, interval, changed),
             RateTracker::Lln(e) => e.observe(element, interval, changed),
-            RateTracker::Sa(e) => e.observe(element, interval, changed),
         }
     }
 
@@ -72,7 +70,6 @@ impl RateTracker {
             RateTracker::Ewma(e) => e.rates(fallback),
             RateTracker::Window(e) => e.rates(fallback),
             RateTracker::Lln(e) => e.rates(fallback),
-            RateTracker::Sa(e) => e.rates(fallback),
         }
     }
 
@@ -94,45 +91,38 @@ impl RateTracker {
                     interval_sum: interval_sum.to_vec(),
                 }
             }
-            RateTracker::Sa(e) => EstimatorState::Sa {
-                rates: e.raw_rates().to_vec(),
-                seen: e.observation_counts().to_vec(),
-            },
         }
     }
 
     /// Rebuild from exported state; the kind and its parameters come from
     /// `config` and must match the snapshot's shape.
     fn restore(n: usize, kind: EstimatorKind, state: EstimatorState) -> Result<Self> {
-        match (kind, state) {
+        let len = match &state {
+            EstimatorState::Ewma { rates, .. } => rates.len(),
+            EstimatorState::Window { entries, .. } => entries.len(),
+            EstimatorState::Lln { polls, .. } => polls.len(),
+        };
+        if len != n {
+            return Err(CoreError::LengthMismatch {
+                what: "estimator state",
+                expected: n,
+                actual: len,
+            });
+        }
+        Ok(match (kind, state) {
             (EstimatorKind::Ewma { gain }, EstimatorState::Ewma { rates, seen }) => {
-                if rates.len() != n {
-                    return Err(CoreError::LengthMismatch {
-                        what: "estimator rates",
-                        expected: n,
-                        actual: rates.len(),
-                    });
-                }
-                Ok(RateTracker::Ewma(EwmaRateEstimator::from_state(
-                    rates, seen, gain,
-                )?))
+                RateTracker::Ewma(EwmaRateEstimator::from_state(rates, seen, gain, 0.0)?)
+            }
+            (EstimatorKind::Sa { gain, decay }, EstimatorState::Ewma { rates, seen }) => {
+                RateTracker::Ewma(EwmaRateEstimator::from_state(rates, seen, gain, decay)?)
             }
             (EstimatorKind::Window { len }, EstimatorState::Window { window, entries }) => {
-                if entries.len() != n {
-                    return Err(CoreError::LengthMismatch {
-                        what: "estimator entries",
-                        expected: n,
-                        actual: entries.len(),
-                    });
-                }
                 if window != len {
                     return Err(CoreError::InvalidConfig(format!(
                         "snapshot window {window} does not match configured window {len}"
                     )));
                 }
-                Ok(RateTracker::Window(WindowRateEstimator::from_state(
-                    window, entries,
-                )?))
+                RateTracker::Window(WindowRateEstimator::from_state(window, entries)?)
             }
             (
                 EstimatorKind::Lln,
@@ -141,36 +131,17 @@ impl RateTracker {
                     detections,
                     interval_sum,
                 },
-            ) => {
-                if polls.len() != n {
-                    return Err(CoreError::LengthMismatch {
-                        what: "estimator polls",
-                        expected: n,
-                        actual: polls.len(),
-                    });
-                }
-                Ok(RateTracker::Lln(LlnRateEstimator::from_state(
-                    polls,
-                    detections,
-                    interval_sum,
-                )?))
+            ) => RateTracker::Lln(LlnRateEstimator::from_state(
+                polls,
+                detections,
+                interval_sum,
+            )?),
+            _ => {
+                return Err(CoreError::InvalidConfig(
+                    "snapshot estimator kind does not match the configured estimator".into(),
+                ))
             }
-            (EstimatorKind::Sa { gain, decay }, EstimatorState::Sa { rates, seen }) => {
-                if rates.len() != n {
-                    return Err(CoreError::LengthMismatch {
-                        what: "estimator rates",
-                        expected: n,
-                        actual: rates.len(),
-                    });
-                }
-                Ok(RateTracker::Sa(SaRateEstimator::from_state(
-                    rates, seen, gain, decay,
-                )?))
-            }
-            _ => Err(CoreError::InvalidConfig(
-                "snapshot estimator kind does not match the configured estimator".into(),
-            )),
-        }
+        })
     }
 }
 
@@ -193,6 +164,10 @@ pub struct Engine {
     executor: Executor,
     estimates: Problem,
     last_poll: Vec<f64>,
+    /// Each element's poll frequency achieved in the current epoch,
+    /// refilled by every [`step`](Engine::step). It carries no state
+    /// across epochs: it is a field only so its allocation is reused.
+    achieved: Vec<f64>,
     ledger: Option<LedgerAudit>,
     /// Per-epoch stats of the run in progress; its length is the epoch
     /// counter, so [`step`](Engine::step) needs no separate index.
@@ -241,6 +216,7 @@ impl Engine {
             executor: Executor::serial(),
             estimates: prior.clone(),
             last_poll: vec![0.0; n],
+            achieved: Vec::new(),
             ledger: config.audit.then(LedgerAudit::new),
             history: Vec::new(),
             series: TimeSeries::default(),
@@ -420,26 +396,21 @@ impl Engine {
         }
 
         // 3. Fresh estimates → drift monitor → (maybe) warm re-solve.
-        self.estimates = {
-            let mut builder = Problem::builder()
-                .change_rates(self.rates.rates(self.config.fallback_rate))
-                .access_weights(self.profile.access_probs_smoothed(self.config.smoothing))
-                .bandwidth(self.bandwidth);
-            if let Some(costs) = &self.costs {
-                builder = builder.costs(costs.clone());
-            }
-            builder.build()?
-        };
+        self.estimates = self.estimates_problem(&self.rates, &self.profile)?;
         // 4. ... overlapped with scoring the epoch (estimates at the
         // achieved frequencies). The re-solve decision and the PF
         // score read the same immutable estimates and touch disjoint
         // state, so on a pool the solve runs on a worker while the
-        // score runs here — the loop never blocks on the solver.
-        let achieved: Vec<f64> = outcome
-            .succeeded
-            .iter()
-            .map(|&polls| polls as f64 / self.config.epoch_len)
-            .collect();
+        // score runs here — the loop never blocks on the solver. Poll
+        // counts are exact in f64, so each frequency is `count / len`.
+        self.achieved.clear();
+        self.achieved.resize(n, 0.0);
+        for poll in &outcome.polls {
+            self.achieved[poll.element] += 1.0;
+        }
+        for frequency in &mut self.achieved {
+            *frequency /= self.config.epoch_len;
+        }
         if self.executor.is_parallel() {
             offload_counter.inc();
         }
@@ -448,13 +419,14 @@ impl Engine {
         let (resolve_outcome, realized_pf) = {
             let scheduler = &mut self.scheduler;
             let estimates = &self.estimates;
+            let achieved = &self.achieved;
             let policy = self.config.resolve_policy;
             self.executor.join(
                 move || match policy {
                     ResolvePolicy::DriftGated => scheduler.observe(estimates),
                     ResolvePolicy::EveryEpoch => scheduler.resolve(estimates).map(|_| true),
                 },
-                || estimates.perceived_freshness(&achieved),
+                || estimates.perceived_freshness(achieved),
             )
         };
         let resolved = resolve_outcome?;
@@ -742,14 +714,7 @@ impl Engine {
         let estimates = if state.history.is_empty() {
             None
         } else {
-            let mut builder = Problem::builder()
-                .change_rates(rates.rates(self.config.fallback_rate))
-                .access_weights(profile.access_probs_smoothed(self.config.smoothing))
-                .bandwidth(self.bandwidth);
-            if let Some(costs) = &self.costs {
-                builder = builder.costs(costs.clone());
-            }
-            Some(builder.build()?)
+            Some(self.estimates_problem(&rates, &profile)?)
         };
         self.dispatcher
             .restore_state(state.credit, state.attempts)?;
@@ -767,6 +732,23 @@ impl Engine {
             ledger.clear();
         }
         Ok(())
+    }
+
+    /// The `(p̂, λ̂)` problem of `rates` and `profile`: their current
+    /// estimates under the prior's bandwidth and cost column.
+    fn estimates_problem(
+        &self,
+        rates: &RateTracker,
+        profile: &ProfileEstimator,
+    ) -> Result<Problem> {
+        let mut builder = Problem::builder()
+            .change_rates(rates.rates(self.config.fallback_rate))
+            .access_weights(profile.access_probs_smoothed(self.config.smoothing))
+            .bandwidth(self.bandwidth);
+        if let Some(costs) = &self.costs {
+            builder = builder.costs(costs.clone());
+        }
+        builder.build()
     }
 
     /// The engine's current `(p̂, λ̂)` snapshot (the prior before the

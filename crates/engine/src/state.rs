@@ -32,11 +32,14 @@ use crate::report::EpochStats;
 /// Snapshot of the configured change-rate estimator's learned state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EstimatorState {
-    /// State of an [`EwmaRateEstimator`](freshen_core::estimate::EwmaRateEstimator).
+    /// State of an [`EwmaRateEstimator`](freshen_core::estimate::EwmaRateEstimator),
+    /// under either gain schedule (`EstimatorKind::Ewma` or `Sa`). The
+    /// schedule's parameters live in the config; `seen` resumes a
+    /// decreasing step-size sequence exactly.
     Ewma {
         /// Per-element rate estimates (priors included).
         rates: Vec<f64>,
-        /// Per-element polls folded in.
+        /// Per-element polls folded in (the gain-schedule index).
         seen: Vec<u64>,
     },
     /// State of a [`WindowRateEstimator`](freshen_core::estimate::WindowRateEstimator).
@@ -57,15 +60,6 @@ pub enum EstimatorState {
         detections: Vec<u64>,
         /// Per-element summed poll intervals.
         interval_sum: Vec<f64>,
-    },
-    /// State of an [`SaRateEstimator`](freshen_core::estimate::SaRateEstimator).
-    /// The gain schedule's parameters live in the config; `seen` resumes
-    /// the per-element step-size sequence exactly.
-    Sa {
-        /// Per-element rate iterates (priors included).
-        rates: Vec<f64>,
-        /// Per-element observation counts (the gain-schedule index).
-        seen: Vec<u64>,
     },
 }
 

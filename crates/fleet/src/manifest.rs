@@ -1,9 +1,10 @@
 //! The fleet snapshot manifest: one small CRC-framed binary file
 //! (`fleet.manifest`) naming every tenant snapshot in the directory.
 //!
-//! Framing follows the v2 snapshot codec's rules: magic, version,
-//! little-endian integers, length-prefixed strings bounded by `MAX_LEN`,
-//! and a trailing CRC-32 over everything before it. Decoding is
+//! Framing follows the snapshot codec's rules, and decoding uses its
+//! bounds-checked [`Reader`]: magic, version, little-endian integers,
+//! length-prefixed strings under the codec's length bound, and a
+//! trailing CRC-32 over everything before it. Decoding is
 //! validation-first — truncated, bit-flipped, or mis-versioned manifests
 //! are [`CoreError::InvalidConfig`] before any entry is trusted.
 //!
@@ -14,14 +15,12 @@
 use std::path::Path;
 
 use freshen_core::error::{CoreError, Result};
-use freshen_serve::snapshot::{crc32, write_atomic};
+use freshen_serve::snapshot::{crc32, write_atomic, Reader};
 
 /// Magic bytes for the manifest file.
 pub const MAGIC: [u8; 4] = *b"FRSM";
 /// Manifest format version.
 pub const VERSION: u32 = 1;
-/// Bound on any length field, matching the snapshot codec.
-const MAX_LEN: usize = 1 << 24;
 
 /// One tenant's snapshot as recorded at the last fleet checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,40 +46,6 @@ pub struct Manifest {
 
 fn corrupt(what: &str) -> CoreError {
     CoreError::InvalidConfig(format!("fleet manifest: {what}"))
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| corrupt("truncated"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.u64()? as usize;
-        if len > MAX_LEN {
-            return Err(corrupt("string length out of bounds"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| corrupt("non-UTF-8 string"))
-    }
 }
 
 impl Manifest {
@@ -114,10 +79,7 @@ impl Manifest {
         if crc32(body) != stored {
             return Err(corrupt("CRC mismatch"));
         }
-        let mut dec = Dec {
-            bytes: body,
-            pos: 0,
-        };
+        let mut dec = Reader::new("fleet manifest", body);
         if dec.take(4)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
@@ -128,10 +90,7 @@ impl Manifest {
             )));
         }
         let round = dec.u64()?;
-        let count = dec.u64()? as usize;
-        if count > MAX_LEN {
-            return Err(corrupt("entry count out of bounds"));
-        }
+        let count = dec.usize()?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let id = dec.str()?;
@@ -145,9 +104,7 @@ impl Manifest {
                 epoch,
             });
         }
-        if dec.pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        dec.finish()?;
         Ok(Manifest { round, entries })
     }
 

@@ -252,70 +252,113 @@ impl Enc {
 // Decoding
 // ---------------------------------------------------------------------
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
 fn corrupt(what: &str) -> CoreError {
     CoreError::InvalidConfig(format!("snapshot: {what}"))
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+/// A bounds-checked little-endian reader over a byte payload: the
+/// decoder of the snapshot and of the fleet manifest. A read past the
+/// end, a length above the sanity bound, an out-of-range boolean or a
+/// non-UTF-8 string is a [`CoreError::InvalidConfig`] whose message
+/// starts with the format's name, never a panic.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// The format's name, prefixed to every error.
+    what: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// Read `bytes` from the start; errors name the format `what`.
+    pub fn new(what: &'static str, bytes: &'a [u8]) -> Self {
+        Reader {
+            bytes,
+            pos: 0,
+            what,
+        }
+    }
+    /// The error for a malformed field, prefixed with the format's name.
+    fn corrupt(&self, msg: &str) -> CoreError {
+        CoreError::InvalidConfig(format!("{}: {msg}", self.what))
+    }
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| corrupt("truncated payload"))?;
+            .ok_or_else(|| self.corrupt("truncated payload"))?;
         let slice = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(slice)
     }
+    /// One byte.
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
-    fn u64(&mut self) -> Result<u64> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
+    /// An `f64` from its raw IEEE-754 bits.
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
+    /// A boolean byte, 0 or 1.
     fn bool(&mut self) -> Result<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(corrupt("boolean field out of range")),
+            _ => Err(self.corrupt("boolean field out of range")),
         }
     }
-    fn len(&mut self) -> Result<usize> {
+    /// A `u64` length or index, at most `MAX_LEN`, as a `usize`.
+    pub fn usize(&mut self) -> Result<usize> {
         let n = self.u64()?;
         if n > MAX_LEN {
-            return Err(corrupt("collection length exceeds sanity bound"));
+            return Err(self.corrupt("collection length exceeds sanity bound"));
         }
         Ok(n as usize)
     }
+    /// A length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String> {
+        let n = self.usize()?;
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("string field is not UTF-8"))
+    }
+    /// Fail unless every byte has been read.
+    pub fn finish(&self) -> Result<()> {
+        if self.pos != self.bytes.len() {
+            return Err(self.corrupt("trailing bytes after payload"));
+        }
+        Ok(())
+    }
+}
+
+/// The snapshot's composite fields.
+impl Reader<'_> {
     fn vec_f64(&mut self) -> Result<Vec<f64>> {
-        let n = self.len()?;
+        let n = self.usize()?;
         (0..n).map(|_| self.f64()).collect()
     }
     fn vec_u64(&mut self) -> Result<Vec<u64>> {
-        let n = self.len()?;
+        let n = self.usize()?;
         (0..n).map(|_| self.u64()).collect()
     }
     fn opt_f64(&mut self) -> Result<Option<f64>> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.f64()?)),
-            _ => Err(corrupt("option tag out of range")),
+            _ => Err(self.corrupt("option tag out of range")),
         }
-    }
-    fn str(&mut self) -> Result<String> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string field is not UTF-8"))
     }
     fn sample(&mut self) -> Result<EpochSample> {
         let sample = EpochSample {
@@ -337,15 +380,20 @@ impl<'a> Dec<'a> {
             request_p95_us: self.f64()?,
         };
         if Health::from_u8(sample.health).is_none() {
-            return Err(corrupt("sample health byte out of range"));
+            return Err(self.corrupt("sample health byte out of range"));
         }
         Ok(sample)
     }
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(corrupt("trailing bytes after payload"));
-        }
-        Ok(())
+}
+
+/// The format's tag for an estimator kind, written before the shape's
+/// parameters and again before the engine's estimator state.
+fn estimator_tag(kind: EstimatorKind) -> u8 {
+    match kind {
+        EstimatorKind::Ewma { .. } => 0,
+        EstimatorKind::Window { .. } => 1,
+        EstimatorKind::Lln => 2,
+        EstimatorKind::Sa { .. } => 3,
     }
 }
 
@@ -359,20 +407,12 @@ impl Snapshot {
         e.u64(self.shape.seed);
         e.u64(self.shape.epochs as u64);
         e.f64(self.shape.epoch_len);
+        e.u8(estimator_tag(self.shape.estimator));
         match self.shape.estimator {
-            EstimatorKind::Ewma { gain } => {
-                e.u8(0);
-                e.f64(gain);
-            }
-            EstimatorKind::Window { len } => {
-                e.u8(1);
-                e.u64(len as u64);
-            }
-            EstimatorKind::Lln => {
-                e.u8(2);
-            }
+            EstimatorKind::Ewma { gain } => e.f64(gain),
+            EstimatorKind::Window { len } => e.u64(len as u64),
+            EstimatorKind::Lln => {}
             EstimatorKind::Sa { gain, decay } => {
-                e.u8(3);
                 e.f64(gain);
                 e.f64(decay);
             }
@@ -383,7 +423,10 @@ impl Snapshot {
         e.vec_f64(&s.last_poll);
         match &s.estimator {
             EstimatorState::Ewma { rates, seen } => {
-                e.u8(0);
+                // Both gain schedules share this state; its tag names the
+                // shape's schedule (0 constant, 3 decreasing).
+                let sa = matches!(self.shape.estimator, EstimatorKind::Sa { .. });
+                e.u8(if sa { 3 } else { 0 });
                 e.vec_f64(rates);
                 e.vec_u64(seen);
             }
@@ -408,11 +451,6 @@ impl Snapshot {
                 e.vec_u64(polls);
                 e.vec_u64(detections);
                 e.vec_f64(interval_sum);
-            }
-            EstimatorState::Sa { rates, seen } => {
-                e.u8(3);
-                e.vec_f64(rates);
-                e.vec_u64(seen);
             }
         }
         e.vec_f64(&s.profile_weights);
@@ -532,18 +570,15 @@ impl Snapshot {
             )));
         }
 
-        let mut d = Dec {
-            bytes: payload,
-            pos: 0,
-        };
+        let mut d = Reader::new("snapshot", payload);
 
-        let elements = d.len()?;
+        let elements = d.usize()?;
         let seed = d.u64()?;
-        let epochs = d.len()?;
+        let epochs = d.usize()?;
         let epoch_len = d.f64()?;
         let estimator = match d.u8()? {
             0 => EstimatorKind::Ewma { gain: d.f64()? },
-            1 => EstimatorKind::Window { len: d.len()? },
+            1 => EstimatorKind::Window { len: d.usize()? },
             2 => EstimatorKind::Lln,
             3 => EstimatorKind::Sa {
                 gain: d.f64()?,
@@ -560,17 +595,22 @@ impl Snapshot {
         };
 
         let last_poll = d.vec_f64()?;
-        let estimator_state = match d.u8()? {
-            0 => EstimatorState::Ewma {
+        if d.u8()? != estimator_tag(shape.estimator) {
+            return Err(corrupt(
+                "estimator-state tag does not match the shape's estimator",
+            ));
+        }
+        let estimator_state = match shape.estimator {
+            EstimatorKind::Ewma { .. } | EstimatorKind::Sa { .. } => EstimatorState::Ewma {
                 rates: d.vec_f64()?,
                 seen: d.vec_u64()?,
             },
-            1 => {
-                let window = d.len()?;
-                let n = d.len()?;
+            EstimatorKind::Window { .. } => {
+                let window = d.usize()?;
+                let n = d.usize()?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let m = d.len()?;
+                    let m = d.usize()?;
                     let mut elem = Vec::with_capacity(m);
                     for _ in 0..m {
                         let interval = d.f64()?;
@@ -581,16 +621,11 @@ impl Snapshot {
                 }
                 EstimatorState::Window { window, entries }
             }
-            2 => EstimatorState::Lln {
+            EstimatorKind::Lln => EstimatorState::Lln {
                 polls: d.vec_u64()?,
                 detections: d.vec_u64()?,
                 interval_sum: d.vec_f64()?,
             },
-            3 => EstimatorState::Sa {
-                rates: d.vec_f64()?,
-                seen: d.vec_u64()?,
-            },
-            _ => return Err(corrupt("estimator-state tag out of range")),
         };
         let profile_weights = d.vec_f64()?;
         let profile_scale = d.f64()?;
@@ -604,7 +639,7 @@ impl Snapshot {
             bandwidth_used: d.f64()?,
             multiplier: d.opt_f64()?,
             cost_multiplier: d.opt_f64()?,
-            iterations: d.len()?,
+            iterations: d.usize()?,
         };
         let baseline_probs = d.vec_f64()?;
         let baseline_rates = d.vec_f64()?;
@@ -615,11 +650,11 @@ impl Snapshot {
         let last_drift = d.opt_f64()?;
         let credit = d.vec_f64()?;
         let attempts = d.vec_u64()?;
-        let history_len = d.len()?;
+        let history_len = d.usize()?;
         let mut history = Vec::with_capacity(history_len);
         for _ in 0..history_len {
             history.push(EpochStats {
-                index: d.len()?,
+                index: d.usize()?,
                 start: d.f64()?,
                 drift: d.f64()?,
                 resolved: d.bool()?,
@@ -636,7 +671,7 @@ impl Snapshot {
         }
         let series = {
             let stride = d.u64()?;
-            let n = d.len()?;
+            let n = d.usize()?;
             let mut samples = Vec::with_capacity(n);
             for _ in 0..n {
                 samples.push(d.sample()?);
@@ -653,7 +688,7 @@ impl Snapshot {
                 let consecutive_bad = d.u64()?;
                 let consecutive_good = d.u64()?;
                 let pf_window = d.vec_f64()?;
-                let n = d.len()?;
+                let n = d.usize()?;
                 let mut alerts = Vec::with_capacity(n);
                 for _ in 0..n {
                     let epoch = d.u64()?;
@@ -705,10 +740,10 @@ impl Snapshot {
 
         let source = match d.u8()? {
             0 => {
-                let n = d.len()?;
+                let n = d.usize()?;
                 let mut cursors = Vec::with_capacity(n);
                 for _ in 0..n {
-                    cursors.push(d.len()?);
+                    cursors.push(d.usize()?);
                 }
                 SourceState::Replay { cursors }
             }
@@ -956,11 +991,30 @@ mod tests {
             gain: 0.5,
             decay: 0.75,
         };
-        snap.engine.estimator = EstimatorState::Sa {
+        snap.engine.estimator = EstimatorState::Ewma {
             rates: vec![1.5, 0.25, 1e-9],
             seen: vec![8, 0, 2],
         };
         assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+    }
+
+    #[test]
+    fn an_estimator_state_that_disagrees_with_the_shape_is_rejected() {
+        let mut snap = sample();
+        snap.shape.estimator = EstimatorKind::Window { len: 4 };
+        let mut lln = sample();
+        lln.engine.estimator = EstimatorState::Lln {
+            polls: vec![1, 0, 2],
+            detections: vec![1, 0, 0],
+            interval_sum: vec![0.5, 0.0, 1.0],
+        };
+        for bad in [snap, lln] {
+            let err = Snapshot::decode(&bad.encode()).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidConfig(m) if m.contains("estimator-state tag")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

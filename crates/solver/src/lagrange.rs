@@ -1223,19 +1223,18 @@ pub(crate) mod tests {
             budget_tol: 1e-10,
             ..Default::default()
         };
-        // Both laws on the striped grid; Fixed Order, the benchmark's law,
-        // on the Zipf instances. (Under Poisson, seed 41's instance has an
-        // element funded below the certificate's support threshold, which
-        // then fails slackness under either stop rule.)
-        let both = [SyncPolicy::FixedOrder, SyncPolicy::Poisson];
-        let mut instances: Vec<(Problem, &[SyncPolicy])> = [300, 1000, 3000, 10_000]
+        // Both laws on the striped grid and on the Zipf instances. Under
+        // Poisson, seed 41's instance funds element 11455 at 5.3e-6, a
+        // share below the certificate's support cut, so slackness checks
+        // it at that frequency.
+        let mut instances: Vec<Problem> = [300, 1000, 3000, 10_000]
             .into_iter()
-            .flat_map(|n| [0.7, 1.1, 1.35, 2.0, 6.0].map(|tilt| (striped(n, tilt), &both[..])))
+            .flat_map(|n| [0.7, 1.1, 1.35, 2.0, 6.0].map(|tilt| striped(n, tilt)))
             .collect();
-        instances.extend([5, 23, 31, 41].map(|seed| (zipf_plan(30_000, seed), &both[..1])));
+        instances.extend([5, 23, 31, 41].map(|seed| zipf_plan(30_000, seed)));
         let (mut passes, mut before) = (0, 0);
-        for (k, (problem, policies)) in instances.iter().enumerate() {
-            for &policy in policies.iter() {
+        for (k, problem) in instances.iter().enumerate() {
+            for policy in [SyncPolicy::FixedOrder, SyncPolicy::Poisson] {
                 let solver = LagrangeSolver {
                     policy,
                     ..Default::default()

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 
 use freshen_core::error::{CoreError, Result};
-use freshen_core::estimate::ChangeRateEstimator;
+use freshen_core::estimate::PollHistory;
 use freshen_core::profile::ProfileEstimator;
 
 /// One user request against the mirror.
@@ -279,8 +279,8 @@ pub fn learn_from_logs(
         .map(|p| p.time)
         .fold(0.0f64, f64::max)
         .max(f64::MIN_POSITIVE);
-    let mut rates = ChangeRateEstimator::new(n, 1.0)?;
     let mut poll_counts = vec![0u64; n];
+    let mut detections = vec![0u64; n];
     for (idx, p) in polls.iter().enumerate() {
         if p.element >= n {
             return Err(CoreError::InvalidValue {
@@ -289,23 +289,25 @@ pub fn learn_from_logs(
                 value: p.element as f64,
             });
         }
-        rates.record_poll(p.element, p.changed);
         poll_counts[p.element] += 1;
+        detections[p.element] += u64::from(p.changed);
     }
-    // The batch estimator assumes unit poll intervals; correct each
-    // element's rate by its actual mean interval (span / count).
-    let raw = rates.rates(fallback_rate);
-    let change_rates: Vec<f64> = raw
+    let change_rates: Vec<f64> = poll_counts
         .iter()
-        .zip(&poll_counts)
-        .map(|(&r, &count)| {
+        .zip(&detections)
+        .map(|(&count, &changes_detected)| {
             if count == 0 {
-                fallback_rate
-            } else {
-                // estimate_bias_reduced scales as 1/interval; undo the
-                // unit-interval assumption.
-                r * count as f64 / span
+                return fallback_rate;
             }
+            // The bias-reduced estimate at a unit interval, rescaled to
+            // the element's mean interval span / count (the estimate
+            // scales as 1/interval).
+            let history = PollHistory {
+                polls: count,
+                changes_detected,
+                interval: 1.0,
+            };
+            history.estimate_bias_reduced() * count as f64 / span
         })
         .collect();
 

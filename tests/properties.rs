@@ -1182,7 +1182,7 @@ fn lln_and_sa_converge_where_ewma_plateaus() {
     // keeps shrinking while constant-gain EWMA sits on its variance
     // floor: after a long run, per-element LLN and SA estimates must be
     // within 10% of truth and both must beat EWMA's aggregate error.
-    use freshen::core::estimate::{EwmaRateEstimator, LlnRateEstimator, SaRateEstimator};
+    use freshen::core::estimate::{EwmaRateEstimator, LlnRateEstimator};
 
     let n = 8;
     let interval = 0.4;
@@ -1192,7 +1192,7 @@ fn lln_and_sa_converge_where_ewma_plateaus() {
         .collect();
     let mut ewma = EwmaRateEstimator::new(n, 0.1, 1.0).unwrap();
     let mut lln = LlnRateEstimator::new(n).unwrap();
-    let mut sa = SaRateEstimator::new(n, 0.5, 0.6, 1.0).unwrap();
+    let mut sa = EwmaRateEstimator::decreasing(n, 0.5, 0.6, 1.0).unwrap();
     let mut rng = SplitMix64::new(11);
     for _ in 0..polls {
         for (i, &lambda) in rates.iter().enumerate() {
