@@ -1216,6 +1216,38 @@ mod tests {
     }
 
     #[test]
+    fn estimate_prints_an_unchanged_element_as_positive_zero() {
+        let dir = tmpdir("estimate_prints_an_unchanged_element_as_positive_zero");
+        let access = dir.join("access.csv");
+        std::fs::write(&access, "time,element\n0.1,0\n0.2,1\n").unwrap();
+        let polls = dir.join("polls.csv");
+        std::fs::write(
+            &polls,
+            "time,element,changed\n1.0,0,1\n2.0,0,0\n1.0,1,0\n2.0,1,0\n",
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        cmd_estimate(
+            &parsed(&[
+                "--elements",
+                "2",
+                "--bandwidth",
+                "1.0",
+                "--accesses",
+                access.to_str().unwrap(),
+                "--polls",
+                polls.to_str().unwrap(),
+            ]),
+            &mut buf,
+        )
+        .unwrap();
+        let text = std::str::from_utf8(&buf).unwrap();
+        assert!(!text.contains("-0"), "{text}");
+        let p = Problem::from_json(text).unwrap();
+        assert_eq!(p.change_rates()[1].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
     fn estimate_rejects_bad_log() {
         let dir = tmpdir("estimate_rejects_bad_log");
         let access = dir.join("bad_access.csv");

@@ -122,7 +122,9 @@ impl PollHistory {
         }
         let n = self.polls as f64;
         let x = self.changes_detected as f64;
-        (-(((n - x + 0.5) / (n + 0.5)).ln()) / self.interval).min(RATE_CAP)
+        // `+ 0.0` turns the `−ln 1 = −0.0` of `x = 0` into `+0.0` and
+        // leaves the bits of every other rate as they are.
+        (-(((n - x + 0.5) / (n + 0.5)).ln()) / self.interval).min(RATE_CAP) + 0.0
     }
 }
 
@@ -684,9 +686,9 @@ mod tests {
         let h = PollHistory::new(100, 0, 1.0).unwrap();
         assert_eq!(h.estimate_naive(), 0.0);
         // With x = 0 the bias-reduced estimator is exactly 0 too:
-        // −ln((n+0.5)/(n+0.5)) = 0.
+        // −ln((n+0.5)/(n+0.5)) = −0, returned as +0.
         let br = h.estimate_bias_reduced();
-        assert!(br.abs() < 1e-12);
+        assert_eq!(br.to_bits(), 0.0f64.to_bits(), "+0.0, not −0.0");
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //! recursion composes as `F = 1 − Π_r (1 − F_r · F̄(λ, f_r))`. (The
 //! closed form multiplies the *unconditional* path probabilities; the
 //! exact value couples the paths through the shared age and is
-//! slightly lower. For a single parent the expression is exact; the
-//! Monte-Carlo validator in `freshen-sim` measures the gap.)
+//! slightly lower. For a single parent the expression is exact, and it
+//! is evaluated as the product `F_r · F̄(λ, f_r)` itself, so a one-tier
+//! topology scores exactly the flat problem's freshness; the Monte-Carlo
+//! validator in `freshen-sim` measures the gap.)
 //!
 //! Version-aware merging is assumed throughout: a poll replaces the
 //! local copy only with a strictly newer version, so a stale parent
@@ -255,19 +257,25 @@ impl Topology {
             let row = &mut vec![0.0f64; n];
             for i in 0..n {
                 // Staleness is the product over carrying parents of
-                // each path failing to deliver inside the age window.
-                let mut stale = 1.0f64;
-                let mut carried = false;
+                // each path failing to deliver inside the age window. One
+                // carrying parent composes as the product itself:
+                // `1 − (1 − F·hop)` can round away from `F·hop`.
+                let (mut stale, mut carriers, mut path) = (1.0f64, 0usize, 0.0f64);
                 for &l in &self.incoming[node] {
                     let link = &self.links[l];
                     if !link.carries(i) {
                         continue;
                     }
-                    carried = true;
+                    carriers += 1;
                     let hop = policy.freshness(lam[i], schedule.link_freqs[l][i]);
-                    stale *= 1.0 - fresh[link.from][i] * hop;
+                    path = fresh[link.from][i] * hop;
+                    stale *= 1.0 - path;
                 }
-                row[i] = if carried { 1.0 - stale } else { 0.0 };
+                row[i] = match carriers {
+                    0 => 0.0,
+                    1 => path,
+                    _ => 1.0 - stale,
+                };
             }
             fresh[node] = std::mem::take(row);
         }

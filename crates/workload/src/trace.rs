@@ -250,8 +250,12 @@ pub struct LearnedParameters {
 /// * Elements never polled receive `fallback_rate`.
 ///
 /// Change-rate estimation treats each element's polls as evenly spaced
-/// over the observed poll-log time span (the Fixed-Order scheduler makes
+/// over the time the poll log covers (the Fixed-Order scheduler makes
 /// this exact; for irregular logs it is the mean-interval approximation).
+/// Each of the log's `m` polls stands for one mean interval, so the span
+/// is `(last − first)·m/(m − 1)`: a log shifted in time learns the same
+/// rates. A poll log whose polls share one instant covers no time and is
+/// rejected.
 pub fn learn_from_logs(
     n: usize,
     accesses: &[AccessRecord],
@@ -274,11 +278,21 @@ pub fn learn_from_logs(
         profile.observe(a.element);
     }
 
-    let span = polls
+    let (first, last) = polls
         .iter()
-        .map(|p| p.time)
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+            (lo.min(p.time), hi.max(p.time))
+        });
+    let m = polls.len() as f64;
+    let span = (last - first) * m / (m - 1.0);
+    let covers_time = span > 0.0 && span.is_finite();
+    if !polls.is_empty() && !covers_time {
+        return Err(CoreError::InvalidValue {
+            what: "poll log time span",
+            index: None,
+            value: last - first,
+        });
+    }
     let mut poll_counts = vec![0u64; n];
     let mut detections = vec![0u64; n];
     for (idx, p) in polls.iter().enumerate() {
@@ -486,6 +500,64 @@ mod tests {
         );
         // Element 1 never polled: gets the fallback.
         assert_eq!(learned.change_rates[1], 9.0);
+    }
+
+    /// A 60-element poll log, 50 polls each over `[offset, offset + 10]`,
+    /// element `e` changing on every `(e mod 7) + 1`-th poll and element 59
+    /// never.
+    fn shifted_polls(offset: f64) -> Vec<PollRecord> {
+        (0..50)
+            .flat_map(|k| {
+                (0..60).map(move |e| PollRecord {
+                    time: offset + 10.0 * (k * 60 + e) as f64 / 2_999.0,
+                    element: e,
+                    changed: e != 59 && k % (e % 7 + 1) == 0,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn learn_from_logs_rates_do_not_depend_on_when_the_log_starts() {
+        let at = |offset| learn_from_logs(60, &[], &shifted_polls(offset), 0.5, 1.0).unwrap();
+        let (early, late) = (at(0.0), at(1000.0));
+        for (e, (&a, &b)) in early
+            .change_rates
+            .iter()
+            .zip(&late.change_rates)
+            .enumerate()
+        {
+            assert!((a - b).abs() <= 1e-12 * a.abs(), "element {e}: {a} vs {b}");
+        }
+        // 3,000 polls over 10 periods: each element's 50 polls span 10.
+        let expected = -((50.0 - 50.0 + 0.5) / 50.5f64).ln() * 50.0 / (10.0 * 3_000.0 / 2_999.0);
+        assert!((early.change_rates[0] - expected).abs() <= 1e-12 * expected);
+    }
+
+    #[test]
+    fn learn_from_logs_gives_an_unchanged_element_a_positive_zero() {
+        let learned = learn_from_logs(60, &[], &shifted_polls(0.0), 0.5, 1.0).unwrap();
+        assert_eq!(learned.change_rates[59].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn learn_from_logs_rejects_a_log_at_one_instant() {
+        let polls: Vec<PollRecord> = (0..3)
+            .map(|e| PollRecord {
+                time: 4.0,
+                element: e,
+                changed: true,
+            })
+            .collect();
+        let err = learn_from_logs(3, &[], &polls, 0.5, 1.0).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidValue {
+                what: "poll log time span",
+                ..
+            }
+        ));
+        assert!(learn_from_logs(3, &[], &polls[..1], 0.5, 1.0).is_err());
     }
 
     #[test]
